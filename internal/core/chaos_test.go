@@ -275,13 +275,23 @@ type kvRun struct {
 // divergences from an in-memory model. crashAt > 0 schedules node 1's
 // storage to fail mid-run.
 func runChaosKV(t *testing.T, plan *faults.Plan, replicas int) kvRun {
+	return runChaosKVCfg(t, plan, replicas, nil, 0)
+}
+
+// runChaosKVCfg is runChaosKV with a config hook and a pcache bound on
+// the table (0 = unbounded).
+func runChaosKVCfg(t *testing.T, plan *faults.Plan, replicas int, mod func(*core.Config), bound int64) kvRun {
 	t.Helper()
 	c := cluster.New(chaosSpec(2))
 	var inj *faults.Injector
 	if plan != nil {
 		inj = c.InstallFaults(*plan)
 	}
-	d := core.New(c, chaosConfig(replicas))
+	cfg := chaosConfig(replicas)
+	if mod != nil {
+		mod(&cfg)
+	}
+	d := core.New(c, cfg)
 	var out kvRun
 	c.Engine.Spawn("app", func(p *vtime.Proc) {
 		// The client lives on node 1 so the table's pages place locally
@@ -294,6 +304,7 @@ func runChaosKV(t *testing.T, plan *faults.Plan, replicas int) kvRun {
 			t.Error(err)
 			return
 		}
+		s.BoundMemory(bound)
 		model := make(map[uint64]int64)
 		rng := rand.New(rand.NewSource(17))
 		for op := 0; op < 1500; op++ {

@@ -38,13 +38,14 @@ type DSM struct {
 	taskFree   []*MemoryTask // recycled tasks; every fault/commit churns one
 	busyChains int
 
-	// bufFree recycles page data buffers, completing the allocation-free
-	// fault path: reads copy device bytes into a pooled buffer that
-	// becomes the page's data; the pcache returns it when the page drops
-	// clean, and commit payloads return through recycleTask once the
-	// scache holds its own copy. getBuf zeroes on acquisition, so the
-	// write-allocate and stage-in paths may treat pooled buffers as fresh.
-	bufFree [][]byte
+	// bufFree recycles page data buffers: every page image the DSM
+	// creates (fault reads, commit snapshots, read-modify-write and
+	// checksum scratch) comes from here and returns here; see getBuf.
+	// One free list per buffer capacity, so vectors with different page
+	// sizes never trade (or drop) each other's buffers; bufBytes is the
+	// pooled total, bounded by maxPooledBytes.
+	bufFree  []bufClass
+	bufBytes int64
 
 	// pendingMoves counts organizer relocations still queued or running;
 	// the organizer never plans from a state its own unfinished moves are
@@ -631,36 +632,76 @@ func (d *DSM) recycleTask(t *MemoryTask) {
 	d.taskFree = append(d.taskFree, t)
 }
 
-// maxPooledBufs caps the page-buffer pool; beyond it buffers are dropped
-// to the garbage collector rather than hoarded.
-const maxPooledBufs = 256
+// maxPooledBytes bounds the total capacity the page-buffer pool holds;
+// beyond it returned buffers go to the garbage collector rather than
+// being hoarded. 8 MiB is 170 pages of 48 KB or 2048 of 4 KB: enough to
+// absorb the burst of pages a phase boundary drops at once.
+const maxPooledBytes = 8 << 20
 
-// getBuf returns a zeroed buffer of length size, reusing a pooled one
-// that fits. The caller owns it until handing it to the pcache (page
-// data) or leaving it on a task for recycleTask to reclaim.
-func (d *DSM) getBuf(size int64) []byte {
-	for n := len(d.bufFree); n > 0; n = len(d.bufFree) {
-		b := d.bufFree[n-1]
-		d.bufFree[n-1] = nil
-		d.bufFree = d.bufFree[:n-1]
-		if int64(cap(b)) >= size {
-			b = b[:size]
-			clear(b)
-			return b
-		}
-		// Sized for a smaller page; let the GC take it.
-	}
-	return make([]byte, size)
+// poisonFreedBufs is a test-only hook: putBuf fills every buffer it takes
+// back with poisonByte, so a use after return reads garbage instead of
+// the stale-but-plausible bytes it would otherwise see.
+var poisonFreedBufs bool
+
+const poisonByte = 0xA5
+
+// bufClass is the page-buffer pool's free list for one capacity.
+type bufClass struct {
+	size int
+	free [][]byte
 }
 
-// putBuf returns a buffer to the pool. The caller guarantees no other
-// reference to it remains (rule: whoever nils the owning pointer pools
-// the buffer). nil is accepted and ignored.
+// bufClassOf returns the free list for buffers of capacity size,
+// creating it on first use. A DSM sees one class per distinct page size,
+// so the linear scan beats a map lookup.
+func (d *DSM) bufClassOf(size int) *bufClass {
+	for i := range d.bufFree {
+		if d.bufFree[i].size == size {
+			return &d.bufFree[i]
+		}
+	}
+	d.bufFree = append(d.bufFree, bufClass{size: size})
+	return &d.bufFree[len(d.bufFree)-1]
+}
+
+// getBuf returns a zeroed buffer of length (and capacity) size, reusing
+// a pooled one when its class has one. The caller owns it until handing
+// it to the pcache (page data), leaving it on a task for recycleTask to
+// reclaim, or returning it with putBuf.
+func (d *DSM) getBuf(size int64) []byte {
+	c := d.bufClassOf(int(size))
+	n := len(c.free)
+	if n == 0 {
+		return make([]byte, size)
+	}
+	b := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	d.bufBytes -= int64(cap(b))
+	b = b[:size]
+	clear(b)
+	return b
+}
+
+// putBuf returns a buffer to its capacity class. The caller guarantees no
+// other reference to it remains (rule: whoever nils the owning pointer
+// pools the buffer). nil is accepted and ignored.
 func (d *DSM) putBuf(b []byte) {
-	if b == nil || len(d.bufFree) >= maxPooledBufs {
+	if b == nil {
 		return
 	}
-	d.bufFree = append(d.bufFree, b)
+	b = b[:cap(b)]
+	if poisonFreedBufs {
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
+	if d.bufBytes+int64(cap(b)) > maxPooledBytes {
+		return
+	}
+	c := d.bufClassOf(cap(b))
+	c.free = append(c.free, b)
+	d.bufBytes += int64(cap(b))
 }
 
 // pageDone releases a page's chain after a task completes and dispatches

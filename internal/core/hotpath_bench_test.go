@@ -7,8 +7,8 @@ package core
 // metadata cost is what a userspace paging system lives or dies on
 // (UMap, MaxMem), so regressions here are regressions everywhere.
 //
-// Before/after numbers for the typed-blob-identity refactor are recorded
-// in BENCH_hotpath.json at the repo root.
+// Before/after numbers are recorded in BENCH_hotpath.json at the repo
+// root.
 
 import (
 	"testing"
@@ -49,8 +49,14 @@ func benchConfig() Config {
 // runBench drives fn as the only application process of a fresh DSM.
 func runBench(b *testing.B, fn func(p *vtime.Proc, d *DSM)) {
 	b.Helper()
+	runBenchCfg(b, benchConfig(), fn)
+}
+
+// runBenchCfg is runBench with an explicit DSM configuration.
+func runBenchCfg(b *testing.B, cfg Config, fn func(p *vtime.Proc, d *DSM)) {
+	b.Helper()
 	c := cluster.New(benchSpec())
-	d := New(c, benchConfig())
+	d := New(c, cfg)
 	c.Engine.Spawn("bench", func(p *vtime.Proc) {
 		fn(p, d)
 	})
@@ -127,11 +133,12 @@ func BenchmarkFaultPathTraced(b *testing.B) {
 	runBenchTraced(b, faultLoop(b))
 }
 
-// BenchmarkCommitPath measures one asynchronous dirty-page commit: Set a
-// resident page, then Flush hands exactly that page's dirty region to the
-// runtime (submit -> chain -> worker -> hermes put).
-func BenchmarkCommitPath(b *testing.B) {
-	runBench(b, func(p *vtime.Proc, d *DSM) {
+// commitLoop is the shared body of BenchmarkCommitPath and
+// BenchmarkChecksumCommit: Set a resident page, then Flush hands exactly
+// that page's dirty region to the runtime (submit -> chain -> worker ->
+// hermes put).
+func commitLoop(b *testing.B) func(p *vtime.Proc, d *DSM) {
+	return func(p *vtime.Proc, d *DSM) {
 		cl := d.NewClient(p, 0)
 		v, err := Open[int64](cl, "bench/commit", Int64Codec{})
 		if err != nil {
@@ -164,7 +171,66 @@ func BenchmarkCommitPath(b *testing.B) {
 		if err := d.Shutdown(p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCommitPath measures one asynchronous dirty-page commit of a
+// page the scache already holds: the dirty region goes out as a PutAt.
+func BenchmarkCommitPath(b *testing.B) {
+	runBench(b, commitLoop(b))
+}
+
+// BenchmarkRMWFirstWrite measures the commit of a partial write to a
+// page the scache does not hold yet: the worker stages the page image in
+// (zeros, for a volatile vector), overlays the dirty region and puts the
+// merged image. Every 64 ops the pages are destroyed from the scache
+// (untimed), so each op's commit is a first write again.
+func BenchmarkRMWFirstWrite(b *testing.B) {
+	runBench(b, func(p *vtime.Proc, d *DSM) {
+		cl := d.NewClient(p, 0)
+		v, err := Open[int64](cl, "bench/rmw", Int64Codec{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		const pages = 64
+		epp := v.PageSize() / 8
+		n := pages * epp
+		v.Resize(n)
+		v.SeqTxBegin(0, n, WriteOnly)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pg := int64(i % pages)
+			v.Set(pg*epp+1, int64(i)) // one element: never the whole page
+			v.Flush()
+			if pg == pages-1 {
+				cl.Drain()
+				b.StopTimer()
+				for pg := int64(0); pg < pages; pg++ {
+					t := d.newTask()
+					t.kind, t.vec, t.page, t.origin, t.recycle = taskDestroy, v.m, pg, 0, true
+					cl.submitAsync(t)
+				}
+				cl.Drain()
+				b.StartTimer()
+			}
+		}
+		b.StopTimer()
+		v.TxEnd()
+		v.Close()
+		if err := d.Shutdown(p); err != nil {
+			b.Fatal(err)
+		}
 	})
+}
+
+// BenchmarkChecksumCommit is the commit loop with page checksums on: the
+// worker reads the current image from the scache (pageImage), overlays
+// the dirty region, checksums the full page and puts it back.
+func BenchmarkChecksumCommit(b *testing.B) {
+	cfg := benchConfig()
+	cfg.ChecksumPages = true
+	runBenchCfg(b, cfg, commitLoop(b))
 }
 
 // BenchmarkEvictPath measures bounded-memory write pressure: each op

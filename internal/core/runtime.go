@@ -309,7 +309,7 @@ func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint3
 			// primaries; pad before checksumming or a good short copy
 			// would never match the full-page CRC.
 			if int64(len(data)) < m.pageSize {
-				img := make([]byte, m.pageSize)
+				img := r.d.getBuf(m.pageSize)
 				copy(img, data)
 				data = img
 			}
@@ -317,13 +317,16 @@ func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint3
 				r.d.inj.Note("core.repair_replica")
 				return data, nil
 			}
+			r.d.putBuf(data)
 		}
 	}
 	if m.backend != nil && !m.dirty[page] {
-		if data, err := r.stageIn(p, m, page, nil); err == nil && crc32.ChecksumIEEE(data) == want {
+		buf := r.d.getBuf(m.pageSize)
+		if data, err := r.stageIn(p, m, page, buf); err == nil && crc32.ChecksumIEEE(data) == want {
 			r.d.inj.Note("core.repair_restage")
 			return data, nil
 		}
+		r.d.putBuf(buf)
 	}
 	return nil, fmt.Errorf("core: checksum mismatch on %s page %d: %w", m.name, page, faults.ErrCorrupt)
 }
@@ -345,8 +348,8 @@ func fullPage(data, buf []byte, size int64) []byte {
 }
 
 // stageIn materializes a page image from the vector's backend (or zeros
-// for volatile/unwritten pages) into dst when it is large enough (nil or
-// undersized dst allocates a fresh image).
+// for volatile/unwritten pages) into dst, a pooled page buffer, and
+// returns dst resliced to the page.
 func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, dst []byte) ([]byte, error) {
 	sp := r.d.trc.Begin(telemetry.OpStageIn, r.node.ID, telemetry.SpanID(p.TraceSpan()), p.Now())
 	if sp == 0 {
@@ -363,13 +366,8 @@ func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, dst []byte) ([]
 }
 
 func (r *Runtime) stageInData(p *vtime.Proc, m *vecMeta, page int64, dst []byte) ([]byte, error) {
-	var data []byte
-	if int64(cap(dst)) >= m.pageSize {
-		data = dst[:m.pageSize]
-		clear(data) // dst may hold stale bytes (e.g. a discarded corrupt read)
-	} else {
-		data = make([]byte, m.pageSize)
-	}
+	data := dst[:m.pageSize]
+	clear(data) // dst may hold stale bytes (e.g. a discarded corrupt read)
 	if m.backend == nil {
 		return data, nil
 	}
@@ -415,6 +413,7 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 				copy(base[reg.off:reg.end], t.data[reg.off:reg.end])
 			}
 			image = base
+			defer r.d.putBuf(base)
 		}
 		if err := r.d.h.Put(p, r.node.ID, key, image, m.placeScore(0.6), t.origin); err != nil {
 			return err
@@ -429,9 +428,13 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 		if whole {
 			base = t.data
 		} else {
-			// Read-modify-write against the backend image (or zeros).
+			// Read-modify-write against the backend image (or zeros), in
+			// pooled scratch: the device stores its own copy, so the
+			// scratch re-pools once Put returns.
+			scratch := r.d.getBuf(m.pageSize)
+			defer r.d.putBuf(scratch)
 			var err error
-			base, err = r.stageIn(p, m, t.page, nil)
+			base, err = r.stageIn(p, m, t.page, scratch)
 			if err != nil {
 				return err
 			}
@@ -467,24 +470,22 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 }
 
 // pageImage returns the current full page image from the scache (padded)
-// or the backend/zeros when absent.
+// or the backend/zeros when absent, in a pooled buffer the caller owns
+// and returns with putBuf.
 func (r *Runtime) pageImage(p *vtime.Proc, m *vecMeta, page int64) ([]byte, error) {
-	data, ok, err := r.d.h.Get(p, r.node.ID, m.pageID(page))
-	if err != nil {
-		if errors.Is(err, faults.ErrNodeDown) && !m.dirty[page] {
-			return r.stageIn(p, m, page, nil) // clean page: the backend is truth
-		}
-		return nil, err
+	buf := r.d.getBuf(m.pageSize)
+	data, ok, err := r.d.h.GetInto(p, r.node.ID, m.pageID(page), buf)
+	if err == nil && ok {
+		return fullPage(data, buf, m.pageSize), nil
 	}
-	if ok {
-		if int64(len(data)) < m.pageSize {
-			full := make([]byte, m.pageSize)
-			copy(full, data)
-			data = full
+	if err == nil || (errors.Is(err, faults.ErrNodeDown) && !m.dirty[page]) {
+		// Absent, or a clean page whose primary died: the backend is truth.
+		if data, err = r.stageIn(p, m, page, buf); err == nil {
+			return data, nil
 		}
-		return data, nil
 	}
-	return r.stageIn(p, m, page, nil)
+	r.d.putBuf(buf)
+	return nil, err
 }
 
 // invalidateReplicas removes every replica of a page (write-after-read

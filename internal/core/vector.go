@@ -298,7 +298,8 @@ func (v *Vector[T]) TxEnd() {
 }
 
 // releaseFills drops every pending prefetch fill (all complete after a
-// Drain) so fills never leak across transaction phases.
+// Drain) so fills never leak across transaction phases; recycling the
+// fill task re-pools its unclaimed buffer.
 func (v *Vector[T]) releaseFills() {
 	if len(v.fills) == 0 {
 		return
@@ -309,6 +310,7 @@ func (v *Vector[T]) releaseFills() {
 	}
 	sortInt64s(pgs)
 	for _, pg := range pgs {
+		v.c.d.recycleTask(v.fills[pg].t)
 		delete(v.fills, pg)
 		v.pc.used -= v.m.pageSize
 		v.c.node.Free(v.m.pageSize)
@@ -777,8 +779,9 @@ func (v *Vector[T]) dropPage(cp *cachedPage) {
 
 // commitPage submits an asynchronous write task carrying the page's dirty
 // regions. With retain the page stays cached: the buffer is snapshotted
-// so later writes don't race the commit. Without retain (eviction) the
-// buffer's ownership transfers to the task.
+// into a pooled buffer so later writes don't race the commit. Either way
+// the task owns its payload (the snapshot, or on eviction the page's own
+// buffer) and recycleTask re-pools it once the scache holds a copy.
 func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 	regions := mergeRanges(cp.dirty)
 	// A write-allocated page whose every byte was locally written holds
@@ -790,7 +793,7 @@ func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 	}
 	data := cp.data
 	if retain {
-		data = make([]byte, len(cp.data))
+		data = v.c.d.getBuf(int64(len(cp.data)))
 		copy(data, cp.data)
 		// mergeRanges coalesced in place, so regions still aliases
 		// cp.dirty's backing array; snapshot it before resetting cp.dirty,

@@ -330,9 +330,11 @@ func (d *Device) charge(p *vtime.Proc, n int64, bw float64) {
 
 // Write stores data under key, replacing any previous contents, and
 // charges write cost. It fails with ErrNoSpace if the device is full.
+// The device keeps a copy of data, never data itself; an overwrite that
+// fits the stored blob's capacity reuses its storage in place.
 func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
-	old := int64(len(d.blobs[key]))
-	delta := int64(len(data)) - old
+	stored := d.blobs[key]
+	delta := int64(len(data)) - int64(len(stored))
 	if delta > d.Free() {
 		return &ErrNoSpace{Device: d.name, Need: delta, Free: d.Free()}
 	}
@@ -344,9 +346,15 @@ func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
 			return err
 		}
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	d.blobs[key] = buf
+	// Reuse is safe because stored bytes never escape: every accessor
+	// (Read, ReadInto, ReadAt, Peek) hands out copies.
+	if cap(stored) >= len(data) {
+		stored = stored[:len(data)]
+	} else {
+		stored = make([]byte, len(data))
+	}
+	copy(stored, data)
+	d.blobs[key] = stored
 	d.note(delta)
 	d.writeOps++
 	d.bytesWrite += int64(len(data))
@@ -364,9 +372,7 @@ func (d *Device) WriteAt(p *vtime.Proc, key blob.ID, off int64, data []byte) err
 		if delta > d.Free() {
 			return &ErrNoSpace{Device: d.name, Need: delta, Free: d.Free()}
 		}
-		grown := make([]byte, end)
-		copy(grown, blob)
-		blob = grown
+		blob = append(blob, make([]byte, end-int64(len(blob)))...)
 		d.note(delta)
 		d.blobs[key] = blob
 	}

@@ -74,6 +74,54 @@ func TestWriteCopiesCallerBuffer(t *testing.T) {
 	})
 }
 
+// TestStoredBytesNeverEscape pins the invariant that lets Write and
+// WriteAt overwrite a stored blob in place: no accessor hands out the
+// device's own storage, so bytes returned before an overwrite never
+// change under the caller, and mutating them never changes the blob.
+func TestStoredBytesNeverEscape(t *testing.T) {
+	run(t, func(p *vtime.Proc) {
+		d := New("d", DRAMProfile(MB))
+		k := bid("k")
+		orig := bytes.Repeat([]byte{7}, 64)
+		if err := d.Write(p, k, orig); err != nil {
+			t.Fatal(err)
+		}
+		read, _, _ := d.Read(p, k)
+		into, _, _ := d.ReadInto(p, k, make([]byte, 64))
+		at, _, _ := d.ReadAt(p, k, 0, 64)
+		peek, _ := d.Peek(k)
+		handed := map[string][]byte{"Read": read, "ReadInto": into, "ReadAt": at, "Peek": peek}
+
+		// Overwrites that fit the stored capacity: same size, shrink, and
+		// a WriteAt that grows back within it.
+		if err := d.Write(p, k, bytes.Repeat([]byte{1}, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Write(p, k, bytes.Repeat([]byte{2}, 16)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteAt(p, k, 32, bytes.Repeat([]byte{3}, 8)); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range handed {
+			if !bytes.Equal(b, orig) {
+				t.Errorf("%s result changed under an in-place overwrite: % x", name, b)
+			}
+			clear(b)
+		}
+
+		// The grown range past the shrunken end reads as zeros, not as
+		// the stale bytes of the earlier, longer blob.
+		want := append(append(bytes.Repeat([]byte{2}, 16), make([]byte, 16)...), bytes.Repeat([]byte{3}, 8)...)
+		if got, _, _ := d.Read(p, k); !bytes.Equal(got, want) {
+			t.Errorf("blob after overwrites = % x, want % x", got, want)
+		}
+		if d.Used() != int64(len(want)) {
+			t.Errorf("used = %d, want %d", d.Used(), len(want))
+		}
+	})
+}
+
 func TestCapacityEnforced(t *testing.T) {
 	run(t, func(p *vtime.Proc) {
 		d := New("small", DRAMProfile(10))
