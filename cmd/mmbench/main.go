@@ -1,7 +1,9 @@
 // Command mmbench regenerates the paper's evaluation: one sub-experiment
 // per table/figure (fig4-fig8) plus the ablation studies. Results print
 // as aligned tables and, with -o, also land as CSV files (the pipeline's
-// stats_dict.csv analog).
+// stats_dict.csv analog). The scenarios beyond the paper (failover,
+// mttr, control, tenants, gray, disagg) are scenario plans: run them
+// with cmd/mmplan and configs/plan-*.yaml.
 //
 // Usage:
 //
@@ -18,18 +20,15 @@ import (
 	"time"
 
 	"megammap/internal/experiments"
-	"megammap/internal/plan"
 	"megammap/internal/stats"
 	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|fig8|ablations|failover|mttr|control|scale|tenants|gray|disagg|plan|all")
+	exp := flag.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|fig8|ablations|scale|all")
 	profName := flag.String("profile", "small", "size profile: small|full")
 	outDir := flag.String("o", "", "directory for CSV output (optional)")
-	faultSpec := flag.String("faults", "", "fault plan for -exp failover/mttr, e.g. \"seed=42;drop=0.02;crash=1@40ms;revive=1@80ms\" (empty = default plan)")
-	planPath := flag.String("plan", "", "scenario-plan file for -exp plan (gated against the plan's baseline when one is configured)")
 	telem := flag.Bool("telemetry", false, "install the telemetry plane on every experiment cluster and write per-run metric/sample tables under <o>/telemetry/ (requires -o)")
 	flag.Parse()
 
@@ -66,28 +65,10 @@ func main() {
 		{"fig7", func() (*stats.Table, error) { return experiments.Fig7(prof) }},
 		{"fig8", func() (*stats.Table, error) { return experiments.Fig8(prof) }},
 		{"ablations", func() (*stats.Table, error) { return nil, nil }}, // expanded below
-		// failover and mttr are opt-in (not part of "all"): they exercise
-		// the fault plane, which the paper's figures run without.
-		{"failover", func() (*stats.Table, error) { return experiments.Failover(prof, *faultSpec) }},
-		{"mttr", func() (*stats.Table, error) { return experiments.MTTR(prof, *faultSpec) }},
-		{"control", func() (*stats.Table, error) { return experiments.Control(prof, *faultSpec) }},
-		// scale is opt-in too: it benchmarks the simulator itself (engine
-		// throughput and host RAM per node), not a paper figure.
+		// scale is opt-in (not part of "all"): it benchmarks the simulator
+		// itself (engine throughput and host RAM per node), not a paper
+		// figure.
 		{"scale", func() (*stats.Table, error) { return experiments.Scale(prof) }},
-		// tenants is the multi-tenant QoS ablation (isolation off vs on);
-		// opt-in because the paper's figures are single-tenant.
-		{"tenants", func() (*stats.Table, error) { return experiments.Tenants(prof) }},
-		// gray is the gray-failure resilience ablation (hedged reads and
-		// quarantine-aware placement, off vs on under a scripted
-		// straggler); opt-in for the same reason.
-		{"gray", func() (*stats.Table, error) { return experiments.Gray(prof) }},
-		// disagg is the disaggregated-memory ablation (local-tiered vs
-		// compute + fabric-attached memory pools, incl. a mid-run pool
-		// node crash); opt-in because the paper's testbed is uniform.
-		{"disagg", func() (*stats.Table, error) { return experiments.Disagg(prof) }},
-		// plan runs a declarative scenario plan (-plan file) and gates it
-		// against the golden baseline the plan names.
-		{"plan", func() (*stats.Table, error) { return runPlan(*planPath) }},
 	}
 
 	ablations := []driver{
@@ -146,35 +127,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// runPlan loads, runs, and baseline-gates one scenario plan.
-func runPlan(path string) (*stats.Table, error) {
-	if path == "" {
-		return nil, fmt.Errorf("-exp plan requires -plan <file>")
-	}
-	doc, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.Load(string(doc))
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.Run()
-	if err != nil {
-		return nil, err
-	}
-	if p.Baseline != "" {
-		b, err := plan.LoadBaseline(p.Baseline)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: %w (generate with mmplan -write-baseline)", err)
-		}
-		if err := b.Gate(res); err != nil {
-			return nil, err
-		}
-	}
-	return res.Table(), nil
 }
 
 // writeTelemetry drains the telemetry planes of the driver's runs and

@@ -24,7 +24,7 @@ func ablationKMeans(prof Profile, cfg core.Config, bound int64) (measured, int64
 	ranks := nodes * prof.ProcsPerNode
 	total := prof.Fig8BytesPerNode * int64(nodes)
 	c := newCluster(testbedSpec(nodes, total/2))
-	ptsURL, _, err := genParticles(c, particlesFor(total), 8, false)
+	ptsURL, _, err := genParticles(c, ParticlesFor(total), 8, false)
 	if err != nil {
 		return measured{}, 0, 0, err
 	}
@@ -32,7 +32,7 @@ func ablationKMeans(prof Profile, cfg core.Config, bound int64) (measured, int64
 	m, err := runWorld(c, d, ranks, func(r *mpi.Rank) error {
 		_, err := kmeans.Mega(r, d, kmeans.Config{
 			DatasetURL: ptsURL, K: 8, MaxIter: 4, BoundBytes: bound,
-			CostPerDist: scaleCost(3 * vtime.Nanosecond),
+			CostPerDist: ScaleCost(3 * vtime.Nanosecond),
 			InitSpan:    total / 24 / int64(ranks),
 		})
 		return err
@@ -95,7 +95,7 @@ func AblationPartialPaging(prof Profile) (*stats.Table, error) {
 		d := core.New(c, cfg)
 		m, err := runWorld(c, d, ranks, func(r *mpi.Rank) error {
 			_, err := grayscott.Mega(r, d, grayscott.Config{
-				L: l, Steps: 3, CostPerCell: scaleCost(36 * vtime.Nanosecond),
+				L: l, Steps: 3, CostPerCell: ScaleCost(36 * vtime.Nanosecond),
 				BoundBytes: prof.Fig8BytesPerNode / int64(prof.ProcsPerNode) / 4,
 			})
 			return err
@@ -146,7 +146,7 @@ func AblationCoherence(prof Profile) (*stats.Table, error) {
 		cfg := tieredConfig()
 		cfg.DisableReplication = disable
 		c := newCluster(testbedSpec(nodes, total))
-		ptsURL, _, err := genParticles(c, particlesFor(total), 8, false)
+		ptsURL, _, err := genParticles(c, ParticlesFor(total), 8, false)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +199,7 @@ func AblationBagOrder(prof Profile) (*stats.Table, error) {
 	bound := total / int64(ranks) / 2 // half the partition spills
 	for _, unsorted := range []bool{false, true} {
 		c := newCluster(testbedSpec(nodes, total))
-		ptsURL, labURL, err := genParticles(c, particlesFor(total), 8, true)
+		ptsURL, labURL, err := genParticles(c, ParticlesFor(total), 8, true)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +207,7 @@ func AblationBagOrder(prof Profile) (*stats.Table, error) {
 		m, err := runWorld(c, d, ranks, func(r *mpi.Rank) error {
 			_, err := rf.Mega(r, d, rf.Config{
 				DatasetURL: ptsURL, LabelURL: labURL, Classes: 8, Seed: 5,
-				BoundBytes: bound, CostPerSample: scaleCost(20 * vtime.Nanosecond),
+				BoundBytes: bound, CostPerSample: ScaleCost(20 * vtime.Nanosecond),
 				UnsortedBag: unsorted,
 			})
 			return err

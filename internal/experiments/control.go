@@ -1,156 +1,51 @@
 package experiments
 
 import (
-	"fmt"
-
 	"megammap/internal/apps/grayscott"
-	"megammap/internal/apps/kmeans"
 	"megammap/internal/control"
 	"megammap/internal/core"
-	"megammap/internal/faults"
 	"megammap/internal/mpi"
-	"megammap/internal/stats"
 	"megammap/internal/vtime"
 )
 
-// Control ablates the adaptive control plane against fixed-rate
-// maintenance, two governors at a time:
-//
-//   - repair: the MTTR crash/revive scenario (KMeans, one backup replica,
-//     node 1 down then cold-revived) run three ways — clean, fixed
-//     RepairPeriod pacing, and the AIMD governor owning the pace. The
-//     governor must match the fixed pacer's time-to-full-redundancy
-//     without paying more foreground slowdown (or vice versa).
-//   - scrub: the write-heavy Gray-Scott stencil with checksummed pages,
-//     run with scrubbing off (baseline), fixed full sweeps every
-//     ScrubPeriod, and the incremental cursor governor. The governor must
-//     still complete full coverage cycles while holding every sweep under
-//     its page budget.
-//
-// spec is the compact fault DSL accepted by faults.ParseSpec ("" picks
-// the MTTR default schedule derived from the clean run).
-func Control(prof Profile, spec string) (*stats.Table, error) {
-	t := stats.NewTable("control-ablation",
-		"part", "mode", "runtime_s", "slowdown", "mttr_s", "under_rep",
-		"page_repairs", "scrub_sweeps", "scrub_pages", "max_sweep", "cycles")
-
-	if err := controlRepairPart(prof, spec, t); err != nil {
-		return nil, err
-	}
-	if err := controlScrubPart(prof, t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// adaptiveRepairConfig switches repair pacing from the fixed period to
+// AdaptiveRepairConfig switches repair pacing from the fixed period to
 // the AIMD governor, with the other governors off so the ablation
 // isolates one control loop.
-func adaptiveRepairConfig(cfg *core.Config) {
+func AdaptiveRepairConfig(cfg *core.Config) {
 	cfg.RepairPeriod = 0
 	cc := control.Default()
 	cc.Scrub, cc.Prefetch, cc.Evict = false, false, false
 	cfg.Control = cc
 }
 
-func controlRepairPart(prof Profile, spec string, t *stats.Table) error {
-	cfg := kmeans.Config{
-		K: 8, MaxIter: 4,
-		CostPerDist: scaleCost(3 * vtime.Nanosecond),
-	}
-	const nodes = 2
-	ranks := nodes * prof.ProcsPerNode
-	total := prof.Fig5BytesPerNode * int64(nodes)
-	n := particlesFor(total)
-
-	clean, err := mttrRun(prof, cfg, nil, nodes, ranks, n, total, nil)
-	if err != nil {
-		return fmt.Errorf("control: clean run: %w", err)
-	}
-	var plan *faults.Plan
-	if spec != "" {
-		plan, err = faults.ParseSpec(spec)
-		if err != nil {
-			return err
-		}
-	} else {
-		plan = &faults.Plan{Seed: 42}
-	}
-	if len(plan.Crashes) == 0 {
-		plan.Crashes = []faults.Crash{{Node: 1, At: clean.genEnd + clean.m.Runtime/3}}
-		plan.Revives = []faults.Revive{{Node: 1, At: clean.genEnd + 2*clean.m.Runtime/3}}
-	}
-
-	t.Add("repair", "clean", clean.m.Runtime.Seconds(), 1.0, 0.0, 0, 0, 0, 0, 0, 0)
-	for _, mode := range []struct {
-		name string
-		mod  func(*core.Config)
-	}{
-		{"fixed", nil},
-		{"adaptive", adaptiveRepairConfig},
-	} {
-		out, err := mttrRun(prof, cfg, plan, nodes, ranks, n, total, mode.mod)
-		if err != nil {
-			return fmt.Errorf("control: repair/%s run: %w", mode.name, err)
-		}
-		mttr := 0.0
-		if out.redundancyOK {
-			mttr = out.mttr.Seconds()
-		}
-		t.Add("repair", mode.name, out.m.Runtime.Seconds(),
-			float64(out.m.Runtime)/float64(clean.m.Runtime),
-			mttr, out.underReplicated, out.pageRepairs, 0, 0, 0, 0)
-	}
-	return nil
-}
-
-// adaptiveScrubConfig replaces fixed full sweeps with the incremental
+// AdaptiveScrubConfig replaces fixed full sweeps with the incremental
 // cursor governor (only the scrub loop enabled). The utilization target
 // sits below the stencil's own fabric load (~0.45 of aggregate NIC
 // capacity), so the governor must yield to the foreground and scrub in
 // small windows rather than matching the fixed mode's full sweeps.
-func adaptiveScrubConfig(cfg *core.Config) {
+func AdaptiveScrubConfig(cfg *core.Config) {
 	cc := control.Default()
 	cc.Repair, cc.Prefetch, cc.Evict = false, false, false
 	cc.TargetUtil = 0.3
 	cfg.Control = cc
 }
 
-func controlScrubPart(prof Profile, t *stats.Table) error {
-	const nodes = 2
-	ranks := nodes * prof.ProcsPerNode
-	total := prof.Fig8BytesPerNode * int64(nodes)
-	l := gsSideFor(total / 2)
-
-	var baseline vtime.Duration
-	for _, mode := range []struct {
-		name  string
-		sweep vtime.Duration
-		mod   func(*core.Config)
-	}{
-		{"baseline", 0, nil},
-		{"fixed", 10 * vtime.Millisecond, nil},
-		{"adaptive", 10 * vtime.Millisecond, adaptiveScrubConfig},
-	} {
-		out, err := scrubRun(nodes, ranks, prof.Fig8BytesPerNode, total, l, 3, mode.sweep, mode.mod)
-		if err != nil {
-			return fmt.Errorf("control: scrub/%s run: %w", mode.name, err)
-		}
-		if mode.name == "baseline" {
-			baseline = out.Runtime
-		}
-		t.Add("scrub", mode.name, out.Runtime.Seconds(),
-			float64(out.Runtime)/float64(baseline),
-			0.0, 0, 0, out.ScrubSweeps, out.ScrubPages, out.MaxSweep, out.Cycles)
-	}
-	return nil
+// ScrubCellOut reports one Gray-Scott scrub run.
+type ScrubCellOut struct {
+	Runtime     vtime.Duration
+	ScrubSweeps int64
+	ScrubPages  int64
+	MaxSweep    int64
+	Cycles      int64
 }
 
-// scrubRun executes one Gray-Scott run with checksummed pages on a
-// fresh testbed, with the given fixed scrub period (0 = off) and an
-// optional config editor (the adaptive mode installs the cursor
-// governor this way).
-func scrubRun(nodes, ranks int, bytesPerNode, total int64, l, steps int, sweep vtime.Duration, mod func(*core.Config)) (ScrubCellOut, error) {
+// RunScrubCell executes one Gray-Scott run with checksummed pages on a
+// fresh testbed whose grid fills half of the nodes' bytesPerNode DRAM
+// tiers. sweep is the fixed ScrubPeriod (0 = scrubbing off) and mod,
+// when non-nil, edits the DSM config (AdaptiveScrubConfig installs the
+// cursor governor this way).
+func RunScrubCell(nodes, ranks int, bytesPerNode int64, steps int, sweep vtime.Duration, mod func(*core.Config)) (ScrubCellOut, error) {
+	total := bytesPerNode * int64(nodes)
 	c := newCluster(testbedSpec(nodes, bytesPerNode))
 	ccfg := tieredConfig()
 	ccfg.ChecksumPages = true
@@ -164,9 +59,9 @@ func scrubRun(nodes, ranks int, bytesPerNode, total int64, l, steps int, sweep v
 	d := core.New(c, ccfg)
 	m, err := runWorld(c, d, ranks, func(r *mpi.Rank) error {
 		_, err := grayscott.Mega(r, d, grayscott.Config{
-			L: l, Steps: steps,
+			L: gsSideFor(total / 2), Steps: steps,
 			BoundBytes:  total / int64(ranks),
-			CostPerCell: scaleCost(36 * vtime.Nanosecond),
+			CostPerCell: ScaleCost(36 * vtime.Nanosecond),
 		})
 		return err
 	})

@@ -1,4 +1,4 @@
-// The disaggregated-memory ablation (mmbench -exp disagg): the same
+// The disaggregated-memory ablation (configs/plan-disagg.yaml): the same
 // workload on two cluster shapes — local-tiered (every node owns a
 // tight DRAM tier backed by local NVMe) and disaggregated (the same
 // compute nodes plus fabric-attached memory-pool nodes, with the
@@ -28,7 +28,6 @@ import (
 	"megammap/internal/mpi"
 	"megammap/internal/simnet"
 	"megammap/internal/stager"
-	"megammap/internal/stats"
 	"megammap/internal/telemetry"
 	"megammap/internal/topology"
 	"megammap/internal/vtime"
@@ -38,16 +37,11 @@ import (
 // latency-poor relative to the compute fabric.
 const disaggPoolLatency = 3 * vtime.Microsecond
 
-// DisaggPools derives the pool-node count from the compute count — one
-// pool node per two compute nodes, at least one. Shared by the mmbench
-// driver and the scenario-plan runner so both build identical clusters.
-func DisaggPools(nodes int) int { return (nodes + 1) / 2 }
-
 // disaggSpec is the ablation's cluster shape: a deliberately tight DRAM
 // tier backed by roomy NVMe, so the workload overflows DRAM and the
 // ablation is about where the overflow goes. The disaggregated variant
-// appends the derived pool nodes, each with an arena sized to absorb
-// the whole overflow.
+// appends one pool node per two compute nodes (at least one), each
+// with an arena sized to absorb the whole overflow.
 func disaggSpec(nodes int, bytesPerNode int64, disagg bool) cluster.Spec {
 	spec := cluster.Spec{
 		Nodes:    nodes,
@@ -67,7 +61,7 @@ func disaggSpec(nodes int, bytesPerNode int64, disagg bool) cluster.Spec {
 	}
 	if disagg {
 		spec.Topology = topology.Spec{
-			Pools:       DisaggPools(nodes),
+			Pools:       (nodes + 1) / 2,
 			PoolBytes:   4 * bytesPerNode,
 			PoolLatency: disaggPoolLatency,
 		}
@@ -113,9 +107,8 @@ func DisaggFaultPlan(nodes int) *faults.Plan {
 	}
 }
 
-// DisaggCellOut is one topology mode's full report — the unit shared by
-// the mmbench driver and the scenario-plan cell runner, so both produce
-// bit-identical numbers.
+// DisaggCellOut is one topology mode's full report, the unit the
+// scenario-plan cell runner reports from.
 type DisaggCellOut struct {
 	Disagg  bool
 	Runtime vtime.Duration // measured-phase virtual time
@@ -132,7 +125,7 @@ type DisaggCellOut struct {
 	Digest       int64 // workload answer digest (identical across modes)
 }
 
-// disaggDigest hashes a workload result's printed form, exactly as the
+// disaggDigest hashes a workload result's printed form, the same way the
 // scenario-plan runner digests cell results.
 func disaggDigest(v any) int64 {
 	h := fnv.New64a()
@@ -201,10 +194,10 @@ func runDisaggKMeans(nodes, procs int, bytesPerNode int64, disagg bool, fp *faul
 	}
 	ranks := nodes * procs
 	total := bytesPerNode * int64(nodes)
-	n := particlesFor(total)
+	n := ParticlesFor(total)
 	cfg := kmeans.Config{
 		K: 8, MaxIter: 4,
-		CostPerDist: scaleCost(3 * vtime.Nanosecond),
+		CostPerDist: ScaleCost(3 * vtime.Nanosecond),
 		InitSpan:    total / datagen.ParticleSize / int64(ranks),
 	}
 	ptsURL, _, err := genParticles(c, n, cfg.K, false)
@@ -302,37 +295,4 @@ func runDisaggBFS(nodes, procs int, vertices, seed int64, disagg bool, fp *fault
 		return DisaggCellOut{}, err
 	}
 	return disaggCollect(c, d, disagg, m.Runtime, disaggDigest(res)), nil
-}
-
-// Disagg runs the local-tiered vs. disaggregated ablation on KMeans and
-// BFS and reports one row per (workload, topology). The disaggregated
-// cells run under the scripted pool-node crash+revive; pool_hit_pm is
-// the scache pool hit ratio in per-mille.
-func Disagg(prof Profile) (*stats.Table, error) {
-	t := stats.NewTable("disagg",
-		"workload", "topology", "runtime_s", "ops", "p50_ns", "p99_ns",
-		"pool_hit_pm", "pool_placed", "pool_peak_kb", "spill_mb", "bias_flips", "digest")
-	fp := DisaggFaultPlan(prof.DisaggNodes)
-	for _, w := range []string{"kmeans", "bfs"} {
-		for _, topo := range []string{"local", "disagg"} {
-			dis := topo == "disagg"
-			var plan *faults.Plan
-			if dis {
-				plan = fp
-			}
-			out, err := RunDisaggCell(w, prof.DisaggNodes, prof.DisaggProcs,
-				prof.DisaggBytes, prof.DisaggVertices, 42, dis, plan)
-			if err != nil {
-				return nil, fmt.Errorf("disagg %s/%s: %w", w, topo, err)
-			}
-			var hit int64
-			if out.Reads > 0 {
-				hit = out.PoolReads * 1000 / out.Reads
-			}
-			t.Add(w, topo, out.Runtime.Seconds(), out.Ops, out.P50, out.P99,
-				hit, out.PoolPlaced, out.PoolUsedPeak/1024,
-				float64(out.SpillBytes)/float64(device.MB), out.BiasFlips, out.Digest)
-		}
-	}
-	return t, nil
 }

@@ -10,6 +10,11 @@
 // paper's units. Device and network bandwidths are unscaled, so relative
 // runtimes — who wins, by what factor, where the crossovers sit — carry
 // over (see DESIGN.md).
+//
+// The package also holds the cell functions of the scenarios beyond the
+// paper (RunKMeansFaultCell, RunScrubCell, RunTenantsCell, RunGrayCell,
+// RunDisaggCell). Their only driver is the scenario-plan runner
+// (internal/plan) with the checked-in configs/plan-*.yaml files.
 package experiments
 
 import (
@@ -19,6 +24,7 @@ import (
 	"megammap/internal/core"
 	"megammap/internal/datagen"
 	"megammap/internal/device"
+	"megammap/internal/faults"
 	"megammap/internal/mpi"
 	"megammap/internal/simnet"
 	"megammap/internal/stager"
@@ -33,8 +39,8 @@ import (
 // magnitude and every ratio the paper reports is preserved.
 const ScaleShift = 10
 
-// scaleCost converts a real per-element compute cost to repo scale.
-func scaleCost(d vtime.Duration) vtime.Duration { return d << ScaleShift }
+// ScaleCost converts a real per-element compute cost to repo scale.
+func ScaleCost(d vtime.Duration) vtime.Duration { return d << ScaleShift }
 
 // scaleDev divides a device profile's bandwidths by the capacity scale.
 func scaleDev(p device.Profile) device.Profile {
@@ -78,22 +84,6 @@ type Profile struct {
 	// Engine-scalability sweep (mmbench -exp scale).
 	ScaleNodes      []int // simulated node counts, weak scaling
 	ScaleOpsPerNode int   // put/get/delete rounds per node
-
-	// Multi-tenant serving ablation (mmbench -exp tenants).
-	TenantNodes     int
-	TenantPoolBytes int64 // pooled pcache budget shared by all tenants
-	TenantMillis    int   // serving-phase horizon, virtual ms
-
-	// Gray-failure resilience ablation (mmbench -exp gray).
-	GrayNodes     int
-	GrayPoolBytes int64 // DRAM scache tier per node
-	GrayMillis    int   // serving-phase horizon, virtual ms
-
-	// Disaggregated-memory ablation (mmbench -exp disagg).
-	DisaggNodes    int
-	DisaggProcs    int   // app procs per compute node
-	DisaggBytes    int64 // KMeans dataset per node; also sizes the tiers
-	DisaggVertices int64 // BFS graph size
 }
 
 // Small returns the test/bench profile: the same shapes at sizes that
@@ -117,16 +107,6 @@ func Small() Profile {
 		Fig8Fracs:        []float64{1, 0.75, 0.5, 0.375, 0.25, 0.125},
 		ScaleNodes:       []int{64, 256},
 		ScaleOpsPerNode:  60,
-		TenantNodes:      2,
-		TenantPoolBytes:  192 * device.KB,
-		TenantMillis:     150,
-		GrayNodes:        3,
-		GrayPoolBytes:    192 * device.KB,
-		GrayMillis:       500,
-		DisaggNodes:      2,
-		DisaggProcs:      2,
-		DisaggBytes:      768 * device.KB,
-		DisaggVertices:   4096,
 	}
 }
 
@@ -152,16 +132,6 @@ func Full() Profile {
 		Fig8Fracs:        []float64{1, 0.75, 0.5, 0.375, 0.25, 0.125},
 		ScaleNodes:       []int{64, 128, 256, 512, 1024},
 		ScaleOpsPerNode:  200,
-		TenantNodes:      4,
-		TenantPoolBytes:  384 * device.KB,
-		TenantMillis:     500,
-		GrayNodes:        4,
-		GrayPoolBytes:    256 * device.KB,
-		GrayMillis:       500,
-		DisaggNodes:      4,
-		DisaggProcs:      4,
-		DisaggBytes:      2 * device.MB,
-		DisaggVertices:   16384,
 	}
 }
 
@@ -322,6 +292,41 @@ func runWorld(c *cluster.Cluster, d *core.DSM, ranks int, body func(r *mpi.Rank)
 		return measured{}, err
 	}
 	return measured{Runtime: end - start, PeakMemMB: peakMemMB(c)}, nil
+}
+
+// shiftFaultPlan returns a copy of fp with every point in time moved
+// forward by start: the serving and disagg cells take fault plans
+// relative to the start of their measured phase, but the injector's
+// clock starts at cluster construction.
+func shiftFaultPlan(fp *faults.Plan, start vtime.Duration) faults.Plan {
+	s := *fp
+	s.Crashes = append([]faults.Crash(nil), fp.Crashes...)
+	for i := range s.Crashes {
+		s.Crashes[i].At += start
+	}
+	s.Revives = append([]faults.Revive(nil), fp.Revives...)
+	for i := range s.Revives {
+		s.Revives[i].At += start
+	}
+	s.Partitions = append([]faults.Partition(nil), fp.Partitions...)
+	for i := range s.Partitions {
+		s.Partitions[i].From += start
+		s.Partitions[i].To += start
+	}
+	s.Devices = append([]faults.DeviceFault(nil), fp.Devices...)
+	for i := range s.Devices {
+		s.Devices[i].SlowFrom += start
+	}
+	s.Jitters = append([]faults.Jitter(nil), fp.Jitters...)
+	for i := range s.Jitters {
+		s.Jitters[i].From += start
+	}
+	s.Flaps = append([]faults.Flap(nil), fp.Flaps...)
+	for i := range s.Flaps {
+		s.Flaps[i].From += start
+		s.Flaps[i].To += start
+	}
+	return s
 }
 
 // inMemoryConfig is the Fig. 5 DSM configuration: "no optimizations

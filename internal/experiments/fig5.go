@@ -52,14 +52,15 @@ func fig5DRAMTier(totalBytes int64, nodes int) int64 {
 	return per
 }
 
-func particlesFor(bytes int64) int { return int(bytes / datagen.ParticleSize) }
+// ParticlesFor converts dataset bytes to a particle count.
+func ParticlesFor(bytes int64) int { return int(bytes / datagen.ParticleSize) }
 
 func fig5KMeans(prof Profile, t *stats.Table, nodes, ranks int) error {
 	total := prof.Fig5BytesPerNode * int64(nodes)
-	n := particlesFor(total)
+	n := ParticlesFor(total)
 	cfg := kmeans.Config{
 		K: 8, MaxIter: 4,
-		CostPerDist: scaleCost(3 * vtime.Nanosecond),
+		CostPerDist: ScaleCost(3 * vtime.Nanosecond),
 		InitSpan:    total / datagen.ParticleSize / int64(ranks),
 	}
 
@@ -107,8 +108,8 @@ func fig5KMeans(prof Profile, t *stats.Table, nodes, ranks int) error {
 
 func fig5RF(prof Profile, t *stats.Table, nodes, ranks int) error {
 	total := prof.Fig5RFBytes * int64(nodes)
-	n := particlesFor(total)
-	cfg := rf.Config{Classes: 8, MaxDepth: 10, Seed: 9, CostPerSample: scaleCost(20 * vtime.Nanosecond)}
+	n := ParticlesFor(total)
+	cfg := rf.Config{Classes: 8, MaxDepth: 10, Seed: 9, CostPerSample: ScaleCost(20 * vtime.Nanosecond)}
 
 	c := newCluster(testbedSpec(nodes, fig5DRAMTier(total, nodes)))
 	ptsURL, labURL, err := genParticles(c, n, cfg.Classes, true)
@@ -153,8 +154,8 @@ func fig5RF(prof Profile, t *stats.Table, nodes, ranks int) error {
 
 func fig5DBSCAN(prof Profile, t *stats.Table, nodes, ranks int) error {
 	total := prof.Fig5BytesPerNode * int64(nodes)
-	n := particlesFor(total)
-	cfg := dbscan.Config{Eps: 8, MinPts: 64, CostPerPoint: scaleCost(8 * vtime.Nanosecond)}
+	n := ParticlesFor(total)
+	cfg := dbscan.Config{Eps: 8, MinPts: 64, CostPerPoint: ScaleCost(8 * vtime.Nanosecond)}
 
 	c := newCluster(testbedSpec(nodes, fig5DRAMTier(total, nodes)))
 	ptsURL, _, err := genParticles(c, n, 8, false)
@@ -208,7 +209,7 @@ func fig5GrayScott(prof Profile, t *stats.Table, nodes, ranks int) error {
 	total := prof.Fig5GSBytes * int64(nodes)
 	cfg := grayscott.Config{
 		L: gsSideFor(total), Steps: 4, PlotGap: 0,
-		CostPerCell: scaleCost(36 * vtime.Nanosecond),
+		CostPerCell: ScaleCost(36 * vtime.Nanosecond),
 	}
 
 	c := newCluster(testbedSpec(nodes, fig5DRAMTier(total*2, nodes)))

@@ -45,7 +45,7 @@ func Fig6(prof Profile) (*stats.Table, error) {
 		cfg := grayscott.Config{
 			L: l, Steps: prof.Fig6Steps, PlotGap: prof.Fig6Steps,
 			CkptURL:     "file:///out/gs-fig6.bin",
-			CostPerCell: scaleCost(36 * vtime.Nanosecond),
+			CostPerCell: ScaleCost(36 * vtime.Nanosecond),
 		}
 		datasetMB := float64(gridAt(l)) / float64(device.MB)
 

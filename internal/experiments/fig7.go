@@ -59,7 +59,7 @@ func Fig7(prof Profile) (*stats.Table, error) {
 			L: prof.Fig7L, Steps: prof.Fig7Steps, PlotGap: 1,
 			CkptURL:     "file:///out/gs-fig7.bin",
 			BoundBytes:  dc.DRAM / int64(prof.ProcsPerNode) / 4,
-			CostPerCell: scaleCost(36 * vtime.Nanosecond),
+			CostPerCell: ScaleCost(36 * vtime.Nanosecond),
 		}
 		spec := fig7Spec(nodes, dc)
 		c := newCluster(spec)

@@ -45,7 +45,7 @@ func fig8Impl(prof Profile, only string) (*stats.Table, error) {
 			_, err := runWorldErr(c, d, ranks, func(r *mpi.Rank) error {
 				_, err := kmeans.Mega(r, d, kmeans.Config{
 					DatasetURL: ptsURL, K: 8, MaxIter: 4, BoundBytes: bound,
-					CostPerDist: scaleCost(3 * vtime.Nanosecond),
+					CostPerDist: ScaleCost(3 * vtime.Nanosecond),
 					InitSpan:    total / 24 / int64(ranks),
 				})
 				return err
@@ -56,7 +56,7 @@ func fig8Impl(prof Profile, only string) (*stats.Table, error) {
 			_, err := runWorldErr(c, d, ranks, func(r *mpi.Rank) error {
 				_, err := dbscan.Mega(r, d, dbscan.Config{
 					DatasetURL: ptsURL, Eps: 8, MinPts: 64, BoundBytes: bound,
-					CostPerPoint: scaleCost(8 * vtime.Nanosecond),
+					CostPerPoint: ScaleCost(8 * vtime.Nanosecond),
 				})
 				return err
 			})
@@ -66,7 +66,7 @@ func fig8Impl(prof Profile, only string) (*stats.Table, error) {
 			_, err := runWorldErr(c, d, ranks, func(r *mpi.Rank) error {
 				_, err := rf.Mega(r, d, rf.Config{
 					DatasetURL: ptsURL, LabelURL: labURL, Classes: 8, Seed: 5,
-					BoundBytes: bound, CostPerSample: scaleCost(20 * vtime.Nanosecond),
+					BoundBytes: bound, CostPerSample: ScaleCost(20 * vtime.Nanosecond),
 				})
 				return err
 			})
@@ -77,7 +77,7 @@ func fig8Impl(prof Profile, only string) (*stats.Table, error) {
 			_, err := runWorldErr(c, d, ranks, func(r *mpi.Rank) error {
 				_, err := grayscott.Mega(r, d, grayscott.Config{
 					L: l, Steps: 3, BoundBytes: bound,
-					CostPerCell: scaleCost(36 * vtime.Nanosecond),
+					CostPerCell: ScaleCost(36 * vtime.Nanosecond),
 				})
 				return err
 			})
@@ -103,7 +103,7 @@ func fig8Impl(prof Profile, only string) (*stats.Table, error) {
 			c := newCluster(testbedSpec(nodes, dramTier))
 			ptsURL, labURL := "", ""
 			if app.name != "grayscott" {
-				n := particlesFor(total)
+				n := ParticlesFor(total)
 				var err error
 				ptsURL, labURL, err = genParticles(c, n, 8, app.name == "rf")
 				if err != nil {

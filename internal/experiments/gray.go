@@ -1,4 +1,4 @@
-// The gray-failure resilience ablation (mmbench -exp gray): one
+// The gray-failure resilience ablation (configs/plan-gray.yaml): one
 // open-loop Zipf kvstore workload on a replicated, checksummed cluster
 // while a scripted straggler develops — one node's devices ramp to a
 // multiple of their nominal latency, its NIC picks up sticky jitter,
@@ -25,9 +25,7 @@ import (
 	"megammap/internal/control"
 	"megammap/internal/core"
 	"megammap/internal/datagen"
-	"megammap/internal/device"
 	"megammap/internal/faults"
-	"megammap/internal/stats"
 	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
@@ -44,9 +42,8 @@ const (
 	grayWriteFrac = 0.1
 )
 
-// GrayCellOut is one resilience mode's full report — the unit shared by
-// the mmbench driver and the scenario-plan cell runner, so both produce
-// bit-identical numbers.
+// GrayCellOut is one resilience mode's full report, the unit the
+// scenario-plan cell runner reports from.
 type GrayCellOut struct {
 	Resilience bool
 	Runtime    vtime.Duration // serving-phase virtual time
@@ -77,8 +74,7 @@ type grayReq struct {
 // relative to serving start: node 1's devices ramp from nominal to 12x
 // over [10ms, 30ms) and stay there, its traffic picks up sticky jitter,
 // its links flap during [40ms, 60ms), and node 2's storage crashes at
-// 60ms and revives cold at 80ms. Shared by the mmbench driver and the
-// scenario-plan runner.
+// 60ms and revives cold at 80ms.
 func GrayFaultPlan() *faults.Plan {
 	return &faults.Plan{
 		Seed: 7,
@@ -95,40 +91,6 @@ func GrayFaultPlan() *faults.Plan {
 		Crashes: []faults.Crash{{Node: 2, At: 60 * vtime.Millisecond}},
 		Revives: []faults.Revive{{Node: 2, At: 80 * vtime.Millisecond}},
 	}
-}
-
-// shiftFaultPlan returns a copy of fp with every absolute time moved
-// forward by start: plans are authored relative to serving start, but
-// the injector's clock starts at cluster construction.
-func shiftFaultPlan(fp *faults.Plan, start vtime.Duration) faults.Plan {
-	s := *fp
-	s.Crashes = append([]faults.Crash(nil), fp.Crashes...)
-	for i := range s.Crashes {
-		s.Crashes[i].At += start
-	}
-	s.Revives = append([]faults.Revive(nil), fp.Revives...)
-	for i := range s.Revives {
-		s.Revives[i].At += start
-	}
-	s.Partitions = append([]faults.Partition(nil), fp.Partitions...)
-	for i := range s.Partitions {
-		s.Partitions[i].From += start
-		s.Partitions[i].To += start
-	}
-	s.Devices = append([]faults.DeviceFault(nil), fp.Devices...)
-	for i := range s.Devices {
-		s.Devices[i].SlowFrom += start
-	}
-	s.Jitters = append([]faults.Jitter(nil), fp.Jitters...)
-	for i := range s.Jitters {
-		s.Jitters[i].From += start
-	}
-	s.Flaps = append([]faults.Flap(nil), fp.Flaps...)
-	for i := range s.Flaps {
-		s.Flaps[i].From += start
-		s.Flaps[i].To += start
-	}
-	return s
 }
 
 // grayHealthConfig tunes the health plane for the ablation's short
@@ -305,27 +267,4 @@ func RunGrayCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int64,
 		}
 	}
 	return out, nil
-}
-
-// Gray runs the resilience-off/on ablation under the scripted
-// gray-failure plan and reports one row per mode.
-func Gray(prof Profile) (*stats.Table, error) {
-	t := stats.NewTable("gray",
-		"mode", "p50_ns", "p99_ns", "p999_ns", "ops", "tput_ops_s", "errs",
-		"hedge_launched", "hedge_won", "hedge_wasted",
-		"quar_entered", "quar_exited", "probes", "retries", "read_mb")
-	horizon := vtime.Duration(prof.GrayMillis) * vtime.Millisecond
-	fp := GrayFaultPlan()
-	for _, mode := range []string{"off", "on"} {
-		out, err := RunGrayCell(prof.GrayNodes, prof.GrayPoolBytes, horizon, 42, mode == "on", fp)
-		if err != nil {
-			return nil, fmt.Errorf("gray %s: %w", mode, err)
-		}
-		secs := out.Runtime.Seconds()
-		t.Add(mode, out.P50, out.P99, out.P999, out.Ops, float64(out.Ops)/secs, out.Errs,
-			out.HedgeLaunched, out.HedgeWon, out.HedgeWasted,
-			out.QuarEntered, out.QuarExited, out.Probes, out.Retries,
-			float64(out.BytesRead)/float64(device.MB))
-	}
-	return t, nil
 }

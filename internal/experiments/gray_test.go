@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"megammap/internal/device"
 	"megammap/internal/vtime"
 )
 
@@ -18,11 +19,11 @@ func grayCellString(out GrayCellOut) string {
 		out.QuarEntered, out.QuarExited, out.Probes, out.Retries, out.BytesRead)
 }
 
+// runGray runs the cell shape of configs/plan-gray.yaml: three nodes
+// with a 192KB DRAM scache tier each, serving for 500 virtual ms.
 func runGray(t *testing.T, resilience bool) GrayCellOut {
 	t.Helper()
-	prof := Small()
-	horizon := vtime.Duration(prof.GrayMillis) * vtime.Millisecond
-	out, err := RunGrayCell(prof.GrayNodes, prof.GrayPoolBytes, horizon, 42, resilience, GrayFaultPlan())
+	out, err := RunGrayCell(3, 192*device.KB, 500*vtime.Millisecond, 42, resilience, GrayFaultPlan())
 	if err != nil {
 		t.Fatal(err)
 	}

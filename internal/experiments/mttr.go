@@ -1,120 +1,42 @@
 package experiments
 
 import (
-	"fmt"
-	"reflect"
-
 	"megammap/internal/apps/kmeans"
 	"megammap/internal/core"
 	"megammap/internal/datagen"
 	"megammap/internal/faults"
 	"megammap/internal/mpi"
-	"megammap/internal/stats"
 	"megammap/internal/vtime"
 )
 
-// MTTR measures the self-healing plane end to end: the KMeans workload
-// runs once fault-free and once with node 1's storage crashing
-// mid-workload and reviving (cold) later, with one backup replica per
-// page and background anti-entropy repair re-replicating what the crash
-// degraded. spec is the compact fault DSL accepted by faults.ParseSpec
-// ("" picks a default crash-then-revive schedule derived from the clean
-// run's measured time).
-//
-// The emitted table reports both runtimes, whether the results
-// checksum-matched, the time to full redundancy (the MTTR headline:
-// from redundancy lost at the crash to the repair queue draining), the
-// under-replicated gauge at run end (0 = fully healed), and the repair
-// and fault counters.
-func MTTR(prof Profile, spec string) (*stats.Table, error) {
-	cfg := kmeans.Config{
-		K: 8, MaxIter: 4,
-		CostPerDist: scaleCost(3 * vtime.Nanosecond),
-	}
-	const nodes = 2
-	ranks := nodes * prof.ProcsPerNode
-	total := prof.Fig5BytesPerNode * int64(nodes)
-	n := particlesFor(total)
-
-	clean, err := mttrRun(prof, cfg, nil, nodes, ranks, n, total, nil)
-	if err != nil {
-		return nil, fmt.Errorf("mttr: clean run: %w", err)
-	}
-
-	var plan *faults.Plan
-	if spec != "" {
-		plan, err = faults.ParseSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		plan = &faults.Plan{Seed: 42}
-	}
-	if len(plan.Crashes) == 0 {
-		// Crash a third of the way through the measured phase and revive
-		// two thirds in: the workload runs degraded in between and the
-		// repair plane must rebuild the revived node afterwards. Times are
-		// absolute; dataset generation precedes the workload.
-		plan.Crashes = []faults.Crash{{Node: 1, At: clean.genEnd + clean.m.Runtime/3}}
-		plan.Revives = []faults.Revive{{Node: 1, At: clean.genEnd + 2*clean.m.Runtime/3}}
-	}
-
-	faulted, err := mttrRun(prof, cfg, plan, nodes, ranks, n, total, nil)
-	if err != nil {
-		return nil, fmt.Errorf("mttr: faulted run: %w", err)
-	}
-
-	t := stats.NewTable("mttr", "metric", "value")
-	t.Add("nodes", nodes)
-	t.Add("ranks", ranks)
-	t.Add("clean_runtime_s", clean.m.Runtime.Seconds())
-	t.Add("faulted_runtime_s", faulted.m.Runtime.Seconds())
-	t.Add("slowdown", float64(faulted.m.Runtime)/float64(clean.m.Runtime))
-	match := 0
-	if reflect.DeepEqual(clean.result, faulted.result) {
-		match = 1
-	}
-	t.Add("checksum_match", match)
-	t.Add("redundancy_restored", boolInt(faulted.redundancyOK))
-	t.Add("time_to_full_redundancy_s", faulted.mttr.Seconds())
-	t.Add("under_replicated_end", faulted.underReplicated)
-	t.Add("page_repairs", faulted.pageRepairs)
-	for _, ct := range faulted.counters {
-		t.Add("fault."+ct.Name, ct.Value)
-	}
-	return t, nil
+// KMeansCellOut reports one KMeans fault-plane run: the measured
+// runtime, the virtual time at which dataset generation finished (fault
+// schedules are derived relative to it), the workload result, and the
+// repair-plane and injector counters.
+type KMeansCellOut struct {
+	Runtime         vtime.Duration
+	GenEnd          vtime.Duration
+	Result          kmeans.Result
+	Counters        []faults.Counter
+	MTTR            vtime.Duration // redundancy lost -> repair queue drained
+	RedundancyOK    bool           // a redundancy window opened and closed
+	UnderReplicated int            // under-replicated gauge at run end
+	PageRepairs     int64
 }
 
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-type mttrOut struct {
-	m               measured
-	genEnd          vtime.Duration
-	result          kmeans.Result
-	counters        []faults.Counter
-	mttr            vtime.Duration
-	redundancyOK    bool
-	underReplicated int
-	pageRepairs     int64
-}
-
-// mttrRun executes one KMeans run on a fresh testbed, optionally under a
-// crash/revive plan, with one backup replica per scache page and the
-// anti-entropy repair daemon active. mod, when non-nil, edits the DSM
-// config before construction (the control ablation swaps fixed repair
-// pacing for the AIMD governor this way).
-func mttrRun(prof Profile, cfg kmeans.Config, plan *faults.Plan, nodes, ranks, n int, total int64, mod func(*core.Config)) (mttrOut, error) {
+// RunKMeansFaultCell executes one KMeans run on a fresh testbed,
+// optionally under a fault plan (absolute virtual times; dataset
+// generation precedes the workload), with one backup replica per scache
+// page and the anti-entropy repair daemon active. mod, when non-nil,
+// edits the DSM config before construction (AdaptiveRepairConfig swaps
+// fixed repair pacing for the AIMD governor this way).
+func RunKMeansFaultCell(cfg kmeans.Config, plan *faults.Plan, nodes, ranks, n int, total int64, mod func(*core.Config)) (KMeansCellOut, error) {
 	c := newCluster(testbedSpec(nodes, fig5DRAMTier(total, nodes)))
 	ptsURL, _, err := genParticles(c, n, cfg.K, false)
 	if err != nil {
-		return mttrOut{}, err
+		return KMeansCellOut{}, err
 	}
-	out := mttrOut{genEnd: c.Engine.Now()}
+	out := KMeansCellOut{GenEnd: c.Engine.Now()}
 	var inj *faults.Injector
 	if plan != nil {
 		inj = c.InstallFaults(*plan)
@@ -128,23 +50,24 @@ func mttrRun(prof Profile, cfg kmeans.Config, plan *faults.Plan, nodes, ranks, n
 	cfg.DatasetURL = ptsURL
 	cfg.InitSpan = total / datagen.ParticleSize / int64(ranks)
 	cfg.BoundBytes = total / int64(ranks) * 3 / 4
-	out.m, err = runWorld(c, d, ranks, func(r *mpi.Rank) error {
+	m, err := runWorld(c, d, ranks, func(r *mpi.Rank) error {
 		res, err := kmeans.Mega(r, d, cfg)
 		if r.Rank() == 0 {
-			out.result = res
+			out.Result = res
 		}
 		return err
 	})
 	if err != nil {
-		return mttrOut{}, err
+		return KMeansCellOut{}, err
 	}
+	out.Runtime = m.Runtime
 	h := d.Hermes()
-	out.underReplicated = h.UnderReplicated()
-	out.pageRepairs = d.PageRepairs()
+	out.UnderReplicated = h.UnderReplicated()
+	out.PageRepairs = d.PageRepairs()
 	if lost, restored, ok := h.RedundancyWindow(); ok {
-		out.mttr = restored - lost
-		out.redundancyOK = true
+		out.MTTR = restored - lost
+		out.RedundancyOK = true
 	}
-	out.counters = inj.Counters()
+	out.Counters = inj.Counters()
 	return out, nil
 }

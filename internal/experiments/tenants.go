@@ -1,4 +1,4 @@
-// The multi-tenant serving ablation (mmbench -exp tenants): many
+// The multi-tenant serving ablation (configs/plan-tenants.yaml): many
 // colocated kvstore tenants — one latency-class, several batch-class —
 // share one tiered cluster under skewed (Zipf) open-loop traffic. Each
 // tenant's requests flow through an admission controller (bounded queue
@@ -22,7 +22,6 @@ import (
 	"megammap/internal/core"
 	"megammap/internal/datagen"
 	"megammap/internal/faults"
-	"megammap/internal/stats"
 	"megammap/internal/telemetry"
 	"megammap/internal/tenant"
 	"megammap/internal/vtime"
@@ -60,9 +59,8 @@ type TenantOut struct {
 	Evictions int64 // pcache evictions charged to the tenant's vectors
 }
 
-// TenantsCellOut is one isolation mode's full report — the unit shared
-// by the mmbench driver and the scenario-plan cell runner, so both
-// produce bit-identical numbers.
+// TenantsCellOut is one isolation mode's full report, the unit the
+// scenario-plan cell runner reports from.
 type TenantsCellOut struct {
 	Isolation bool
 	Runtime   vtime.Duration // serving-phase virtual time
@@ -153,16 +151,7 @@ func RunTenantsCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int
 	// the loop every tick.
 	start := c.Engine.Now()
 	if fp != nil {
-		shifted := *fp
-		shifted.Crashes = append([]faults.Crash(nil), fp.Crashes...)
-		for i := range shifted.Crashes {
-			shifted.Crashes[i].At += start
-		}
-		shifted.Revives = append([]faults.Revive(nil), fp.Revives...)
-		for i := range shifted.Revives {
-			shifted.Revives[i].At += start
-		}
-		c.InstallFaults(shifted)
+		c.InstallFaults(shiftFaultPlan(fp, start))
 	}
 	for i, ts := range specs {
 		i, ts := i, ts
@@ -292,26 +281,4 @@ func RunTenantsCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int
 func openTenantStore(cl *core.Client, ts tenant.Spec, bias float64) (*kvstore.Store, error) {
 	return kvstore.Open(cl, "kv/"+ts.Name, ts.Keys*2,
 		core.WithPageSize(tenantPageSize), core.WithTenant("kv/"+ts.Name, bias))
-}
-
-// Tenants runs the isolation-off/on ablation and reports one row per
-// (mode, tenant) plus an aggregate row per mode.
-func Tenants(prof Profile) (*stats.Table, error) {
-	t := stats.NewTable("tenants",
-		"mode", "tenant", "class", "p50_ns", "p99_ns", "p999_ns",
-		"ops", "tput_ops_s", "shed", "errs", "faults", "evictions")
-	horizon := vtime.Duration(prof.TenantMillis) * vtime.Millisecond
-	for _, mode := range []string{"off", "on"} {
-		out, err := RunTenantsCell(prof.TenantNodes, prof.TenantPoolBytes, horizon, 42, mode == "on", nil)
-		if err != nil {
-			return nil, fmt.Errorf("tenants %s: %w", mode, err)
-		}
-		secs := out.Runtime.Seconds()
-		for _, to := range out.PerTenant {
-			t.Add(mode, to.Name, to.Class, to.P50, to.P99, to.P999,
-				to.Ops, float64(to.Ops)/secs, to.Shed, to.Errs, to.Faults, to.Evictions)
-		}
-		t.Add(mode, "all", "-", 0, 0, 0, out.AggOps, float64(out.AggOps)/secs, 0, 0, 0, 0)
-	}
-	return t, nil
 }

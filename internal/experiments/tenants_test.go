@@ -4,8 +4,17 @@ import (
 	"fmt"
 	"testing"
 
+	"megammap/internal/device"
 	"megammap/internal/faults"
 	"megammap/internal/vtime"
+)
+
+// The test cell shape, the same as configs/plan-tenants.yaml: two
+// nodes sharing a 192KB pcache pool, serving for 150 virtual ms.
+const (
+	tenantNodes   = 2
+	tenantPool    = 192 * device.KB
+	tenantHorizon = 150 * vtime.Millisecond
 )
 
 // tenantCellString flattens a cell's full report into one comparable
@@ -23,14 +32,12 @@ func tenantCellString(out TenantsCellOut) string {
 // TestTenantsDeterministicReplay: two same-seed serving runs produce
 // byte-identical per-tenant tables, for both isolation modes.
 func TestTenantsDeterministicReplay(t *testing.T) {
-	prof := Small()
-	horizon := vtime.Duration(prof.TenantMillis) * vtime.Millisecond
 	for _, iso := range []bool{false, true} {
-		a, err := RunTenantsCell(prof.TenantNodes, prof.TenantPoolBytes, horizon, 42, iso, nil)
+		a, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, iso, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunTenantsCell(prof.TenantNodes, prof.TenantPoolBytes, horizon, 42, iso, nil)
+		b, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, iso, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,18 +47,16 @@ func TestTenantsDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestTenantsIsolationAblation asserts the PR's acceptance criteria on
-// the small profile: isolation on improves the latency tenant's p99 at
+// TestTenantsIsolationAblation checks the ablation's claims on the
+// plan's cell shape: isolation on improves the latency tenant's p99 at
 // equal-or-better aggregate throughput, and batch tenants never fully
 // starve.
 func TestTenantsIsolationAblation(t *testing.T) {
-	prof := Small()
-	horizon := vtime.Duration(prof.TenantMillis) * vtime.Millisecond
-	off, err := RunTenantsCell(prof.TenantNodes, prof.TenantPoolBytes, horizon, 42, false, nil)
+	off, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := RunTenantsCell(prof.TenantNodes, prof.TenantPoolBytes, horizon, 42, true, nil)
+	on, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,18 +95,16 @@ func TestTenantsIsolationAblation(t *testing.T) {
 // deterministic — two same-seed chaos runs are byte-identical — and
 // still completes work for every tenant.
 func TestTenantsChaosReplay(t *testing.T) {
-	prof := Small()
-	horizon := vtime.Duration(prof.TenantMillis) * vtime.Millisecond
 	fp := &faults.Plan{
 		Seed:    42,
-		Crashes: []faults.Crash{{Node: 1, At: horizon / 3}},
-		Revives: []faults.Revive{{Node: 1, At: 2 * horizon / 3}},
+		Crashes: []faults.Crash{{Node: 1, At: tenantHorizon / 3}},
+		Revives: []faults.Revive{{Node: 1, At: 2 * tenantHorizon / 3}},
 	}
-	a, err := RunTenantsCell(prof.TenantNodes, prof.TenantPoolBytes, horizon, 42, true, fp)
+	a, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, true, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTenantsCell(prof.TenantNodes, prof.TenantPoolBytes, horizon, 42, true, fp)
+	b, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, true, fp)
 	if err != nil {
 		t.Fatal(err)
 	}

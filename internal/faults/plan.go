@@ -165,8 +165,8 @@ type Plan struct {
 	Retry      Policy
 }
 
-// ParseSpec parses the compact fault-plan DSL used by the mmbench
-// -faults flag: semicolon-separated key=value clauses.
+// ParseSpec parses the compact fault-plan DSL used by scenario-plan
+// `faults:` specs: semicolon-separated key=value clauses.
 //
 //	seed=42              PRNG seed
 //	drop=0.02            message drop probability (all links)

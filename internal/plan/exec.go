@@ -18,10 +18,10 @@ import (
 	"megammap/internal/vtime"
 )
 
-// runKMeansCell executes one kmeans cell through the same helper the
-// failover/mttr/control drivers use. The fault axis selects a declared
-// spec ("none" = fault-free); the governor axis swaps fixed repair
-// pacing for the AIMD governor.
+// runKMeansCell executes one kmeans fault-plane cell (the failover, mttr
+// and control plans). The fault axis selects a declared spec ("none" =
+// fault-free); the governor axis swaps fixed repair pacing for the AIMD
+// governor.
 func (p *Plan) runKMeansCell(cell Cell, ref **refRun) (CellResult, error) {
 	w := p.Workload
 	cfg := kmeans.Config{
@@ -79,9 +79,9 @@ func (p *Plan) runKMeansCell(cell Cell, ref **refRun) (CellResult, error) {
 	return cr, nil
 }
 
-// runScrubCell executes one grayscott cell through the control driver's
-// scrub helper: scrub=off is the baseline, fixed sweeps every 10ms,
-// adaptive hands the pace to the incremental cursor governor.
+// runScrubCell executes one checksummed grayscott cell: scrub=off is the
+// baseline, fixed sweeps every 10ms, adaptive hands the pace to the
+// incremental cursor governor.
 func (p *Plan) runScrubCell(cell Cell, ref **refRun) (CellResult, error) {
 	mode, _ := cell.Get("scrub")
 	var sweep vtime.Duration
@@ -230,12 +230,11 @@ func (p *Plan) runBFSCell(cell Cell, ref **refRun) (CellResult, error) {
 	return cr, nil
 }
 
-// runTenantsCell executes one multi-tenant serving cell through the
-// same helper the tenants driver uses. The isolation axis toggles the
-// QoS machinery (quotas, placement bias, fairness governor); plan
-// fields map onto the cell shape — bytes_per_node is the pooled pcache
-// budget, workload.steps the serving horizon in virtual milliseconds,
-// workload.seed the traffic seed. Latency percentiles are exact
+// runTenantsCell executes one multi-tenant serving cell. The isolation
+// axis toggles the QoS machinery (quotas, placement bias, fairness
+// governor); plan fields map onto the cell shape — bytes_per_node is
+// the pooled pcache budget, workload.steps the serving horizon in
+// virtual milliseconds, workload.seed the traffic seed. Latency percentiles are exact
 // (digests): the whole serving phase is deterministic.
 func (p *Plan) runTenantsCell(cell Cell) (CellResult, error) {
 	iso, _ := cell.Get("isolation")
@@ -261,13 +260,12 @@ func (p *Plan) runTenantsCell(cell Cell) (CellResult, error) {
 	return cr, nil
 }
 
-// runGrayCell executes one gray-failure resilience cell through the
-// same helper the gray driver uses. The resilience axis toggles the
-// health plane (hedged reads, quarantine-aware placement); plan fields
-// map onto the cell shape — bytes_per_node is the DRAM scache tier,
-// workload.steps the serving horizon in virtual milliseconds,
-// workload.seed the traffic seed. The scripted straggler schedule is
-// the shared experiments.GrayFaultPlan. Latency percentiles and all
+// runGrayCell executes one gray-failure resilience cell. The resilience
+// axis toggles the health plane (hedged reads, quarantine-aware
+// placement); plan fields map onto the cell shape — bytes_per_node is
+// the DRAM scache tier, workload.steps the serving horizon in virtual
+// milliseconds, workload.seed the traffic seed. The scripted straggler
+// schedule is experiments.GrayFaultPlan. Latency percentiles and all
 // hedge/quarantine counters are exact (digests): the whole serving
 // phase, including the mid-run crash and revive, is deterministic.
 func (p *Plan) runGrayCell(cell Cell) (CellResult, error) {
@@ -296,14 +294,14 @@ func (p *Plan) runGrayCell(cell Cell) (CellResult, error) {
 	return cr, nil
 }
 
-// runDisaggCell executes one disaggregated-memory ablation cell through
-// the same helper the disagg driver uses. The workload axis picks the
-// app (kmeans or bfs), the topology axis the cluster shape (local =
-// uniform tiered nodes, disagg = compute nodes plus fabric-attached
-// memory pools under the spill-vs-pool governor). Disaggregated cells
-// run the shared scripted pool-node crash+revive; plan fields map onto
-// the cell shape — bytes_per_node sizes the kmeans dataset, vertices
-// the bfs graph, workload.seed the graph seed. Everything but the
+// runDisaggCell executes one disaggregated-memory ablation cell. The
+// workload axis picks the app (kmeans or bfs), the topology axis the
+// cluster shape (local = uniform tiered nodes, disagg = compute nodes
+// plus fabric-attached memory pools under the spill-vs-pool governor).
+// Disaggregated cells run the scripted pool-node crash+revive of
+// experiments.DisaggFaultPlan; plan fields map onto the cell shape —
+// bytes_per_node sizes the kmeans dataset, vertices the bfs graph,
+// workload.seed the graph seed. Everything but the
 // runtime is exact (digests): the whole run, including the pool crash
 // and the governor's bias flips, is deterministic.
 func (p *Plan) runDisaggCell(cell Cell) (CellResult, error) {

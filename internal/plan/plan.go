@@ -7,10 +7,12 @@
 // (tolerance bands for time metrics, byte-exact comparison for
 // checksums and telemetry digests).
 //
-// Cells execute through the same helpers the ad-hoc experiment drivers
-// use (internal/experiments), so a plan that mirrors a driver's
-// parameters reproduces its numbers bit for bit — the equivalence the
-// porting tests assert.
+// Plans are the only driver of the scenarios beyond the paper's figures
+// (failover, mttr, control, scrub, tenants, gray, disagg, bfs hints):
+// each configs/plan-*.yaml names its matrix, assertions and baseline,
+// and cmd/mmplan runs and gates it. Cells call the internal/experiments
+// cell functions (RunKMeansFaultCell, RunScrubCell, RunTenantsCell,
+// RunGrayCell, RunDisaggCell) directly; the BFS cell runs here.
 package plan
 
 import (
@@ -38,7 +40,7 @@ var (
 // the fault specs, policy hints, and assertions its cells reference.
 type Plan struct {
 	Name string
-	App  string // kmeans | grayscott | bfs | tenants | gray
+	App  string // kmeans | grayscott | bfs | tenants | gray | disagg
 
 	Nodes        int
 	Procs        int   // ranks per node
@@ -69,7 +71,7 @@ type Workload struct {
 	Source      int64          // bfs root vertex
 }
 
-// defaultWorkload mirrors the ad-hoc drivers' constants.
+// defaultWorkload fills the workload fields a plan leaves unset.
 func defaultWorkload() Workload {
 	return Workload{K: 8, MaxIter: 4, CostPerDist: 3 * vtime.Nanosecond, Steps: 3, Seed: 42}
 }
@@ -88,8 +90,7 @@ type Frac struct{ Num, Den int64 }
 // FaultSpec composes an explicit fault-DSL string (absolute times and
 // probabilistic rules) with crash/revive points derived from the clean
 // cell: "1@1/3" crashes node 1 a third of the way through the clean
-// cell's measured phase, counted from dataset-generation end — exactly
-// the schedule the ad-hoc drivers derive.
+// cell's measured phase, counted from dataset-generation end.
 type FaultSpec struct {
 	Spec       string
 	CrashNode  int
@@ -295,27 +296,25 @@ func (p *Plan) Validate() error {
 }
 
 // validateFaultAxis checks that every fault-axis value names a declared
-// spec and that any spec deriving its schedule from the clean run has a
-// "none" cell ordered before it.
+// spec and has a "none" cell ordered before it: faulted cells report
+// slowdown and checksum_match against the clean cell, and derived specs
+// take their crash/revive times from it.
 func (p *Plan) validateFaultAxis() error {
 	for _, a := range p.Axes {
 		if a.Name != "fault" {
 			continue
 		}
-		noneAt := -1
-		for i, v := range a.Values {
+		sawNone := false
+		for _, v := range a.Values {
 			if v == "none" {
-				if noneAt < 0 {
-					noneAt = i
-				}
+				sawNone = true
 				continue
 			}
-			fs, ok := p.Faults[v]
-			if !ok {
+			if _, ok := p.Faults[v]; !ok {
 				return fmt.Errorf("%w: %q", ErrUnknownFault, v)
 			}
-			if fs.derived() && (noneAt < 0 || noneAt > i) {
-				return fmt.Errorf("%w: spec %q derives times from the clean run but no fault=none cell precedes it", ErrFaultTimeline, v)
+			if !sawNone {
+				return fmt.Errorf("%w: no fault=none cell precedes fault=%s (its slowdown, checksum and derived times need the clean run)", ErrFaultTimeline, v)
 			}
 		}
 	}

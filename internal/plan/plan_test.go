@@ -82,6 +82,10 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"unknown axis", editPlan("fault: [none, f]", "faultiness: [none, f]"), ErrUnknownAxis},
 		{"unnamed fault", editPlan("fault: [none, f]", "fault: [none, g]"), ErrUnknownFault},
 		{"faulted before clean", editPlan("fault: [none, f]", "fault: [f, none]"), ErrFaultTimeline},
+		{"explicit faulted before clean",
+			strings.Replace(editPlan("fault: [none, f]", "fault: [f, none]"),
+				"spec: seed=7;drop=0.01\n    crash: 1@1/2", "spec: seed=7;crash=1@40ms", 1),
+			ErrFaultTimeline},
 		{"revive before crash", editPlan("crash: 1@1/2", "crash: 1@2/3\n    revive: 1@1/3"), ErrFaultTimeline},
 		{"revive without crash", editPlan("crash: 1@1/2", "revive: 1@1/3"), ErrFaultTimeline},
 		{"explicit revive before crash",

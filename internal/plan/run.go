@@ -39,8 +39,7 @@ func (r *Result) Cell(id string) (CellResult, bool) {
 // refRun carries the first reference cell's measurements: the clean
 // (fault=none) cell for kmeans plans, the scrub=off cell for grayscott
 // plans. Derived fault schedules and slowdown metrics are computed
-// against it, exactly as the ad-hoc drivers derive them from their
-// clean runs.
+// against it.
 type refRun struct {
 	genEnd  vtime.Duration
 	runtime vtime.Duration

@@ -3,6 +3,7 @@ package plan
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -72,7 +73,8 @@ func TestPlanSameSeedIsByteIdentical(t *testing.T) {
 // TestBFSHintsPlanShowsWin runs the checked-in BFS hint study end to
 // end: the plan's own assertions (identical answers, less wasted fill
 // I/O, no extra faults, lower bounded runtime) are checked by Run, and
-// the results must still match the stored golden baseline.
+// the win is re-checked here against the cells directly (the stored
+// baseline is gated by TestPlansGateAgainstStoredBaselines).
 func TestBFSHintsPlanShowsWin(t *testing.T) {
 	p := loadConfigPlan(t, "plan-bfs-hints.yaml")
 	r, err := p.Run() // fails on any declared assertion
@@ -100,19 +102,27 @@ func TestBFSHintsPlanShowsWin(t *testing.T) {
 		t.Errorf("hinted bounded run not faster: off %gs, on %gs",
 			offB.Metrics["runtime_s"], onB.Metrics["runtime_s"])
 	}
+}
 
-	b, err := LoadBaseline(filepath.Join("..", "..", p.Baseline))
+// loadConfigPlan loads a checked-in plan document from configs/.
+func loadConfigPlan(t *testing.T, name string) *Plan {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "configs", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Gate(r); err != nil {
-		t.Fatalf("stored baseline no longer reproduces: %v", err)
+	p, err := Load(string(doc))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
+	return p
 }
 
 // TestFailoverPlanGatesAgainstStoredBaseline pins the golden-baseline
-// workflow itself: the checked-in results/plans/failover.json must
-// still reproduce from the checked-in plan document.
+// workflow on its original plan: the checked-in
+// results/plans/failover.json must still reproduce from the checked-in
+// plan document (TestPlansGateAgainstStoredBaselines extends this to
+// every plan).
 func TestFailoverPlanGatesAgainstStoredBaseline(t *testing.T) {
 	p := loadConfigPlan(t, "plan-failover.yaml")
 	r, err := p.Run()
@@ -125,5 +135,49 @@ func TestFailoverPlanGatesAgainstStoredBaseline(t *testing.T) {
 	}
 	if err := b.Gate(r); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlansGateAgainstStoredBaselines pins the golden-baseline workflow
+// for every checked-in plan: each configs/plan-*.yaml must pass its own
+// assertions and reproduce the results/plans/*.json baseline it names,
+// and every stored baseline must be named by some plan (an orphaned
+// baseline gates nothing).
+func TestPlansGateAgainstStoredBaselines(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "configs", "plan-*.yaml"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checked-in plans found (err %v)", err)
+	}
+	named := map[string]bool{}
+	for _, path := range paths {
+		p := loadConfigPlan(t, filepath.Base(path))
+		if p.Baseline == "" {
+			t.Errorf("%s names no baseline; every checked-in plan must be gated", path)
+			continue
+		}
+		named[filepath.Clean(p.Baseline)] = true
+		t.Run(p.Name, func(t *testing.T) {
+			r, err := p.Run() // fails on any declared assertion
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := LoadBaseline(filepath.Join("..", "..", p.Baseline))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Gate(r); err != nil {
+				t.Fatalf("stored baseline no longer reproduces: %v", err)
+			}
+		})
+	}
+	stored, err := filepath.Glob(filepath.Join("..", "..", "results", "plans", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range stored {
+		rel := filepath.Join("results", "plans", filepath.Base(path))
+		if !named[rel] {
+			t.Errorf("%s is named by no configs/plan-*.yaml", rel)
+		}
 	}
 }
