@@ -99,7 +99,7 @@ func trace(dep *megammap.Deployment, out string) error {
 		return err
 	}
 	var doc struct {
-		TraceEvents []struct {
+		Events []struct {
 			Name string `json:"name"`
 			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
@@ -114,7 +114,7 @@ func trace(dep *megammap.Deployment, out string) error {
 		"stage.in":    false,
 		"pfs.read":    false,
 	}
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc.Events {
 		if _, ok := need[ev.Name]; ok && ev.Ph == "X" {
 			need[ev.Name] = true
 		}
@@ -130,6 +130,6 @@ func trace(dep *megammap.Deployment, out string) error {
 		return fmt.Errorf("trace covers no %v spans; fault path not exercised", missing)
 	}
 	fmt.Printf("trace: %d spans, %d events (%d dropped) -> %s\n",
-		tel.Tracer().Len(), len(doc.TraceEvents), tel.Tracer().Dropped(), out)
+		tel.Tracer().Len(), len(doc.Events), tel.Tracer().Dropped(), out)
 	return nil
 }

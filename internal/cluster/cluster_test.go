@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
 	"megammap/internal/blob"
 	"megammap/internal/device"
+	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
 
@@ -173,26 +175,65 @@ func TestClusterAggregates(t *testing.T) {
 	}
 }
 
+// TestMonitorSamples checks that the telemetry sampler (the cluster's only
+// usage monitor) records periodic DRAM readings.
 func TestMonitorSamples(t *testing.T) {
 	c := New(smallSpec(1))
-	stop := &vtime.Event{}
-	m := NewMonitor(c, 10*vtime.Millisecond, stop)
+	tel := c.InstallTelemetry(telemetry.Options{SamplePeriod: 10 * vtime.Millisecond})
 	c.Engine.Spawn("work", func(p *vtime.Proc) {
 		if err := c.Nodes[0].Alloc(512 * device.KB); err != nil {
 			t.Error(err)
 		}
 		p.Sleep(35 * vtime.Millisecond)
-		stop.Fire()
 	})
 	if err := c.Engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Samples) < 3 {
-		t.Fatalf("got %d samples, want >= 3", len(m.Samples))
+	smp := tel.Sampler()
+	if smp.Len() < 3 {
+		t.Fatalf("got %d samples, want >= 3", smp.Len())
 	}
-	last := m.Samples[len(m.Samples)-1]
-	if last.DRAMUsed != 512*device.KB {
-		t.Errorf("last sample DRAM = %d, want 512KB", last.DRAMUsed)
+	tb := smp.Table()
+	if got := tb.Cell(tb.Len()-1, "dram_used"); got != strconv.FormatInt(512*device.KB, 10) {
+		t.Errorf("last sample dram_used = %s, want 512KB", got)
+	}
+}
+
+// TestMonitorWriteCSV checks the sampler's CSV form: column order, row
+// count, and that the last row carries both the DRAM and the nvme readings.
+func TestMonitorWriteCSV(t *testing.T) {
+	c := New(smallSpec(1))
+	tel := c.InstallTelemetry(telemetry.Options{SamplePeriod: 5 * vtime.Millisecond})
+	c.Engine.Spawn("work", func(p *vtime.Proc) {
+		if err := c.Nodes[0].Alloc(100 * device.KB); err != nil {
+			t.Error(err)
+		}
+		if err := c.Nodes[0].Devices["nvme"].Write(p, blob.Raw(1), make([]byte, 4096)); err != nil {
+			t.Error(err)
+		}
+		p.Sleep(20 * vtime.Millisecond)
+	})
+	if err := c.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tb := tel.Sampler().Table()
+	var b strings.Builder
+	if err := tb.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("csv rows = %d", len(lines))
+	}
+	if !strings.HasPrefix(lines[0], "t_ms,dram_used,used.nvme,used.ssd,used.hdd,pfs_used") {
+		t.Errorf("header = %q", lines[0])
+	}
+	last := tb.Len() - 1
+	if got := tb.Cell(last, "dram_used"); got != "102400" {
+		t.Errorf("last sample dram_used = %s, want 102400", got)
+	}
+	if got, err := strconv.ParseInt(tb.Cell(last, "used.nvme"), 10, 64); err != nil || got <= 0 {
+		t.Errorf("last sample used.nvme = %q, want > 0", tb.Cell(last, "used.nvme"))
 	}
 }
 
@@ -205,42 +246,6 @@ func TestDefaultTestbedMirrorsPaperRatios(t *testing.T) {
 	}
 	if s.DRAMPer*1024/48 != device.GB {
 		t.Errorf("dram per node = %d, want 48MB (48GB/1024)", s.DRAMPer)
-	}
-}
-
-func TestMonitorWriteCSV(t *testing.T) {
-	c := New(smallSpec(1))
-	stop := &vtime.Event{}
-	m := NewMonitor(c, 5*vtime.Millisecond, stop)
-	c.Engine.Spawn("work", func(p *vtime.Proc) {
-		if err := c.Nodes[0].Alloc(100 * device.KB); err != nil {
-			t.Error(err)
-		}
-		c.Engine.Spawn("io", func(p2 *vtime.Proc) {
-			if err := c.Nodes[0].Devices["nvme"].Write(p2, blob.Raw(1), make([]byte, 4096)); err != nil {
-				t.Error(err)
-			}
-		})
-		p.Sleep(20 * vtime.Millisecond)
-		stop.Fire()
-	})
-	if err := c.Engine.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := m.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("csv rows = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "t_s,dram_used,dram_peak,tier_") {
-		t.Errorf("header = %q", lines[0])
-	}
-	last := lines[len(lines)-1]
-	if !strings.Contains(last, "102400") {
-		t.Errorf("final sample missing DRAM reading: %q", last)
 	}
 }
 

@@ -195,8 +195,8 @@ func Load(doc string) (*Deployment, error) {
 		}
 	}
 	if hn, ok := root.child("hints"); ok {
-		if err := d.loadHints(hn); err != nil {
-			return nil, err
+		if d.Runtime.Hints, err = ParseHints(&Sec{n: hn}); err != nil {
+			return nil, fmt.Errorf("config: %w", err)
 		}
 	}
 	if tn, ok := root.child("tenants"); ok {
@@ -273,12 +273,12 @@ func (d *Deployment) loadCluster(n *node) error {
 			}
 		}
 	}
-	set("nodes", func(v string) error { return parseInt(v, &d.Cluster.Nodes) })
-	set("cores_per_node", func(v string) error { return parseInt(v, &d.Cluster.CoresPer) })
-	set("dram_per_node", func(v string) error { return parseSize(v, &d.Cluster.DRAMPer) })
+	set("nodes", func(v string) error { return ParseInt(v, &d.Cluster.Nodes) })
+	set("cores_per_node", func(v string) error { return ParseInt(v, &d.Cluster.CoresPer) })
+	set("dram_per_node", func(v string) error { return ParseSize(v, &d.Cluster.DRAMPer) })
 	set("pfs_capacity", func(v string) error {
 		var cap int64
-		if e := parseSize(v, &cap); e != nil {
+		if e := ParseSize(v, &cap); e != nil {
 			return e
 		}
 		d.Cluster.PFS = device.PFSProfile(cap)
@@ -307,7 +307,7 @@ func (d *Deployment) loadCluster(n *node) error {
 				return fmt.Errorf("config: cluster.tiers[%d]: need name and capacity", i)
 			}
 			var capBytes int64
-			if e := parseSize(capStr, &capBytes); e != nil {
+			if e := ParseSize(capStr, &capBytes); e != nil {
 				return fmt.Errorf("config: cluster.tiers[%d].capacity: %w", i, e)
 			}
 			prof, e := tierProfile(name, capBytes)
@@ -329,14 +329,14 @@ func (d *Deployment) loadCluster(n *node) error {
 func (d *Deployment) loadTopology(n *node) error {
 	ts := d.Cluster.Topology
 	err := loadFields(n, map[string]func(string) error{
-		"pools":      func(v string) error { return parseInt(v, &ts.Pools) },
-		"pool_bytes": func(v string) error { return parseSize(v, &ts.PoolBytes) },
+		"pools":      func(v string) error { return ParseInt(v, &ts.Pools) },
+		"pool_bytes": func(v string) error { return ParseSize(v, &ts.PoolBytes) },
 		"pool_link_latency": func(v string) error {
-			return parseDuration(v, &ts.PoolLatency)
+			return ParseDuration(v, &ts.PoolLatency)
 		},
 		"pool_link_bandwidth": func(v string) error {
 			var b int64
-			if e := parseSize(v, &b); e != nil {
+			if e := ParseSize(v, &b); e != nil {
 				return e
 			}
 			ts.PoolBandwidth = float64(b)
@@ -381,18 +381,18 @@ func (d *Deployment) loadRuntime(n *node) error {
 			}
 		}
 	}
-	set("page_size", func(v string) error { return parseSize(v, &d.Runtime.DefaultPageSize) })
-	set("workers_low_latency", func(v string) error { return parseInt(v, &d.Runtime.WorkersLowLat) })
-	set("workers_high_latency", func(v string) error { return parseInt(v, &d.Runtime.WorkersHighLat) })
-	set("low_latency_threshold", func(v string) error { return parseSize(v, &d.Runtime.LowLatThreshold) })
-	set("organize_period", func(v string) error { return parseDuration(v, &d.Runtime.OrganizePeriod) })
-	set("organize_budget", func(v string) error { return parseSize(v, &d.Runtime.OrganizeBudget) })
-	set("stage_period", func(v string) error { return parseDuration(v, &d.Runtime.StagePeriod) })
-	set("scrub_period", func(v string) error { return parseDuration(v, &d.Runtime.ScrubPeriod) })
-	set("repair_period", func(v string) error { return parseDuration(v, &d.Runtime.RepairPeriod) })
-	set("min_score", func(v string) error { return parseFloat(v, &d.Runtime.MinScore) })
-	set("score_decay", func(v string) error { return parseFloat(v, &d.Runtime.ScoreDecay) })
-	set("replicas", func(v string) error { return parseInt(v, &d.Runtime.Replicas) })
+	set("page_size", func(v string) error { return ParseSize(v, &d.Runtime.DefaultPageSize) })
+	set("workers_low_latency", func(v string) error { return ParseInt(v, &d.Runtime.WorkersLowLat) })
+	set("workers_high_latency", func(v string) error { return ParseInt(v, &d.Runtime.WorkersHighLat) })
+	set("low_latency_threshold", func(v string) error { return ParseSize(v, &d.Runtime.LowLatThreshold) })
+	set("organize_period", func(v string) error { return ParseDuration(v, &d.Runtime.OrganizePeriod) })
+	set("organize_budget", func(v string) error { return ParseSize(v, &d.Runtime.OrganizeBudget) })
+	set("stage_period", func(v string) error { return ParseDuration(v, &d.Runtime.StagePeriod) })
+	set("scrub_period", func(v string) error { return ParseDuration(v, &d.Runtime.ScrubPeriod) })
+	set("repair_period", func(v string) error { return ParseDuration(v, &d.Runtime.RepairPeriod) })
+	set("min_score", func(v string) error { return ParseFloat(v, &d.Runtime.MinScore) })
+	set("score_decay", func(v string) error { return ParseFloat(v, &d.Runtime.ScoreDecay) })
+	set("replicas", func(v string) error { return ParseInt(v, &d.Runtime.Replicas) })
 	set("checksum_pages", func(v string) error { return parseBool(v, &d.Runtime.ChecksumPages) })
 	set("disable_prefetch", func(v string) error { return parseBool(v, &d.Runtime.DisablePrefetch) })
 	if err != nil {
@@ -427,10 +427,10 @@ func (d *Deployment) loadFaults(n *node) error {
 		p.Seed = s
 		return e
 	})
-	set("attempts", func(v string) error { return parseInt(v, &p.Retry.Attempts) })
-	set("backoff", func(v string) error { return parseDuration(v, &p.Retry.Base) })
-	set("backoff_cap", func(v string) error { return parseDuration(v, &p.Retry.Cap) })
-	set("jitter", func(v string) error { return parseFloat(v, &p.Retry.Jitter) })
+	set("attempts", func(v string) error { return ParseInt(v, &p.Retry.Attempts) })
+	set("backoff", func(v string) error { return ParseDuration(v, &p.Retry.Base) })
+	set("backoff_cap", func(v string) error { return ParseDuration(v, &p.Retry.Cap) })
+	set("jitter", func(v string) error { return ParseFloat(v, &p.Retry.Jitter) })
 	if err != nil {
 		return err
 	}
@@ -443,7 +443,7 @@ func (d *Deployment) loadFaults(n *node) error {
 				"drop":        func(v string) error { return parseProb(v, &lf.Drop) },
 				"duplicate":   func(v string) error { return parseProb(v, &lf.Dup) },
 				"delay_prob":  func(v string) error { return parseProb(v, &lf.DelayProb) },
-				"delay_spike": func(v string) error { return parseDuration(v, &lf.DelaySpike) },
+				"delay_spike": func(v string) error { return ParseDuration(v, &lf.DelaySpike) },
 			})
 			if e != nil {
 				return fmt.Errorf("config: faults.links[%d]: %w", i, e)
@@ -460,8 +460,8 @@ func (d *Deployment) loadFaults(n *node) error {
 			e := loadFields(item, map[string]func(string) error{
 				"src":  func(v string) error { return parseNodeRef(v, &pt.Src) },
 				"dst":  func(v string) error { return parseNodeRef(v, &pt.Dst) },
-				"from": func(v string) error { return parseDuration(v, &pt.From) },
-				"to":   func(v string) error { return parseDuration(v, &pt.To) },
+				"from": func(v string) error { return ParseDuration(v, &pt.From) },
+				"to":   func(v string) error { return ParseDuration(v, &pt.To) },
 			})
 			if e != nil {
 				return fmt.Errorf("config: faults.partitions[%d]: %w", i, e)
@@ -480,9 +480,9 @@ func (d *Deployment) loadFaults(n *node) error {
 				"tier":        func(v string) error { df.Tier = v; return nil },
 				"read_error":  func(v string) error { return parseProb(v, &df.ReadErr) },
 				"write_error": func(v string) error { return parseProb(v, &df.WriteErr) },
-				"slow_factor": func(v string) error { return parseFloat(v, &df.SlowFactor) },
-				"slow_from":   func(v string) error { return parseDuration(v, &df.SlowFrom) },
-				"ramp_for":    func(v string) error { return parseDuration(v, &df.RampFor) },
+				"slow_factor": func(v string) error { return ParseFloat(v, &df.SlowFactor) },
+				"slow_from":   func(v string) error { return ParseDuration(v, &df.SlowFrom) },
+				"ramp_for":    func(v string) error { return ParseDuration(v, &df.RampFor) },
 			})
 			if e != nil {
 				return fmt.Errorf("config: faults.devices[%d]: %w", i, e)
@@ -495,9 +495,9 @@ func (d *Deployment) loadFaults(n *node) error {
 			j := faults.Jitter{Node: faults.AnyNode, Prob: 1}
 			e := loadFields(item, map[string]func(string) error{
 				"node": func(v string) error { return parseNodeRef(v, &j.Node) },
-				"amp":  func(v string) error { return parseDuration(v, &j.Amp) },
+				"amp":  func(v string) error { return ParseDuration(v, &j.Amp) },
 				"prob": func(v string) error { return parseProb(v, &j.Prob) },
-				"from": func(v string) error { return parseDuration(v, &j.From) },
+				"from": func(v string) error { return ParseDuration(v, &j.From) },
 			})
 			if e != nil {
 				return fmt.Errorf("config: faults.jitters[%d]: %w", i, e)
@@ -513,10 +513,10 @@ func (d *Deployment) loadFaults(n *node) error {
 			fl := faults.Flap{Node: faults.AnyNode}
 			e := loadFields(item, map[string]func(string) error{
 				"node":   func(v string) error { return parseNodeRef(v, &fl.Node) },
-				"up":     func(v string) error { return parseDuration(v, &fl.Up) },
-				"period": func(v string) error { return parseDuration(v, &fl.Period) },
-				"from":   func(v string) error { return parseDuration(v, &fl.From) },
-				"to":     func(v string) error { return parseDuration(v, &fl.To) },
+				"up":     func(v string) error { return ParseDuration(v, &fl.Up) },
+				"period": func(v string) error { return ParseDuration(v, &fl.Period) },
+				"from":   func(v string) error { return ParseDuration(v, &fl.From) },
+				"to":     func(v string) error { return ParseDuration(v, &fl.To) },
 			})
 			if e != nil {
 				return fmt.Errorf("config: faults.flaps[%d]: %w", i, e)
@@ -534,8 +534,8 @@ func (d *Deployment) loadFaults(n *node) error {
 		for i, item := range seq.items {
 			cr := faults.Crash{}
 			e := loadFields(item, map[string]func(string) error{
-				"node": func(v string) error { return parseInt(v, &cr.Node) },
-				"at":   func(v string) error { return parseDuration(v, &cr.At) },
+				"node": func(v string) error { return ParseInt(v, &cr.Node) },
+				"at":   func(v string) error { return ParseDuration(v, &cr.At) },
 			})
 			if e != nil {
 				return fmt.Errorf("config: faults.crashes[%d]: %w", i, e)
@@ -547,8 +547,8 @@ func (d *Deployment) loadFaults(n *node) error {
 		for i, item := range seq.items {
 			rv := faults.Revive{}
 			e := loadFields(item, map[string]func(string) error{
-				"node": func(v string) error { return parseInt(v, &rv.Node) },
-				"at":   func(v string) error { return parseDuration(v, &rv.At) },
+				"node": func(v string) error { return ParseInt(v, &rv.Node) },
+				"at":   func(v string) error { return ParseDuration(v, &rv.At) },
 			})
 			if e != nil {
 				return fmt.Errorf("config: faults.revives[%d]: %w", i, e)
@@ -565,9 +565,9 @@ func (d *Deployment) loadTelemetry(n *node) error {
 	err := loadFields(n, map[string]func(string) error{
 		"metrics":       func(v string) error { return parseBool(v, &o.Metrics) },
 		"spans":         func(v string) error { return parseBool(v, &o.Spans) },
-		"max_spans":     func(v string) error { return parseInt(v, &o.MaxSpans) },
+		"max_spans":     func(v string) error { return ParseInt(v, &o.MaxSpans) },
 		"span_ring":     func(v string) error { return parseBool(v, &o.SpanRing) },
-		"sample_period": func(v string) error { return parseDuration(v, &o.SamplePeriod) },
+		"sample_period": func(v string) error { return ParseDuration(v, &o.SamplePeriod) },
 	})
 	if err != nil {
 		return fmt.Errorf("config: telemetry: %w", err)
@@ -583,7 +583,7 @@ func (d *Deployment) loadControl(n *node) error {
 	cc := control.Default()
 	parseI64 := func(v string, dst *int64) error {
 		var x int
-		if err := parseInt(v, &x); err != nil {
+		if err := ParseInt(v, &x); err != nil {
 			return err
 		}
 		*dst = int64(x)
@@ -591,23 +591,23 @@ func (d *Deployment) loadControl(n *node) error {
 	}
 	err := loadFields(n, map[string]func(string) error{
 		"enabled":         func(v string) error { return parseBool(v, &cc.Enabled) },
-		"tick":            func(v string) error { return parseDuration(v, &cc.Tick) },
-		"target_util":     func(v string) error { return parseFloat(v, &cc.TargetUtil) },
+		"tick":            func(v string) error { return ParseDuration(v, &cc.Tick) },
+		"target_util":     func(v string) error { return ParseFloat(v, &cc.TargetUtil) },
 		"repair":          func(v string) error { return parseBool(v, &cc.Repair) },
 		"scrub":           func(v string) error { return parseBool(v, &cc.Scrub) },
 		"prefetch":        func(v string) error { return parseBool(v, &cc.Prefetch) },
 		"evict":           func(v string) error { return parseBool(v, &cc.Evict) },
-		"repair_min":      func(v string) error { return parseDuration(v, &cc.RepairMin) },
-		"repair_max":      func(v string) error { return parseDuration(v, &cc.RepairMax) },
-		"repair_burst":    func(v string) error { return parseInt(v, &cc.RepairBurst) },
-		"scrub_min_pages": func(v string) error { return parseInt(v, &cc.ScrubMin) },
-		"scrub_max_pages": func(v string) error { return parseInt(v, &cc.ScrubMax) },
+		"repair_min":      func(v string) error { return ParseDuration(v, &cc.RepairMin) },
+		"repair_max":      func(v string) error { return ParseDuration(v, &cc.RepairMax) },
+		"repair_burst":    func(v string) error { return ParseInt(v, &cc.RepairBurst) },
+		"scrub_min_pages": func(v string) error { return ParseInt(v, &cc.ScrubMin) },
+		"scrub_max_pages": func(v string) error { return ParseInt(v, &cc.ScrubMax) },
 		"prefetch_min":    func(v string) error { return parseI64(v, &cc.PrefetchMin) },
 		"prefetch_max":    func(v string) error { return parseI64(v, &cc.PrefetchMax) },
-		"evict_low":       func(v string) error { return parseFloat(v, &cc.EvictLow) },
-		"evict_high":      func(v string) error { return parseFloat(v, &cc.EvictHigh) },
-		"dirty_high":      func(v string) error { return parseFloat(v, &cc.DirtyHigh) },
-		"writeback_boost": func(v string) error { return parseFloat(v, &cc.WritebackBoost) },
+		"evict_low":       func(v string) error { return ParseFloat(v, &cc.EvictLow) },
+		"evict_high":      func(v string) error { return ParseFloat(v, &cc.EvictHigh) },
+		"dirty_high":      func(v string) error { return ParseFloat(v, &cc.DirtyHigh) },
+		"writeback_boost": func(v string) error { return ParseFloat(v, &cc.WritebackBoost) },
 	})
 	if err != nil {
 		return fmt.Errorf("config: control: %w", err)
@@ -625,22 +625,22 @@ func (d *Deployment) loadHealth(n *node) error {
 	hc := control.DefaultHealth()
 	err := loadFields(n, map[string]func(string) error{
 		"enabled":          func(v string) error { return parseBool(v, &hc.Enabled) },
-		"tick":             func(v string) error { return parseDuration(v, &hc.Tick) },
-		"slow_factor":      func(v string) error { return parseFloat(v, &hc.SlowFactor) },
-		"suspect_score":    func(v string) error { return parseFloat(v, &hc.SuspectScore) },
-		"quarantine_score": func(v string) error { return parseFloat(v, &hc.QuarantineScore) },
+		"tick":             func(v string) error { return ParseDuration(v, &hc.Tick) },
+		"slow_factor":      func(v string) error { return ParseFloat(v, &hc.SlowFactor) },
+		"suspect_score":    func(v string) error { return ParseFloat(v, &hc.SuspectScore) },
+		"quarantine_score": func(v string) error { return ParseFloat(v, &hc.QuarantineScore) },
 		"min_ops": func(v string) error {
 			var x int
-			if err := parseInt(v, &x); err != nil {
+			if err := ParseInt(v, &x); err != nil {
 				return err
 			}
 			hc.MinOps = int64(x)
 			return nil
 		},
-		"probe_after":     func(v string) error { return parseDuration(v, &hc.ProbeAfter) },
-		"probe_ok":        func(v string) error { return parseInt(v, &hc.ProbeOK) },
-		"hedge_delay":     func(v string) error { return parseDuration(v, &hc.HedgeDelay) },
-		"quarantine_bias": func(v string) error { return parseFloat(v, &hc.QuarantineBias) },
+		"probe_after":     func(v string) error { return ParseDuration(v, &hc.ProbeAfter) },
+		"probe_ok":        func(v string) error { return ParseInt(v, &hc.ProbeOK) },
+		"hedge_delay":     func(v string) error { return ParseDuration(v, &hc.HedgeDelay) },
+		"quarantine_bias": func(v string) error { return ParseFloat(v, &hc.QuarantineBias) },
 	})
 	if err != nil {
 		return fmt.Errorf("config: health: %w", err)
@@ -658,12 +658,12 @@ func (d *Deployment) loadPool(n *node) error {
 	pc := control.DefaultPool()
 	err := loadFields(n, map[string]func(string) error{
 		"enabled":        func(v string) error { return parseBool(v, &pc.Enabled) },
-		"tick":           func(v string) error { return parseDuration(v, &pc.Tick) },
-		"spill_high":     func(v string) error { return parseFloat(v, &pc.SpillHigh) },
-		"spill_low":      func(v string) error { return parseFloat(v, &pc.SpillLow) },
-		"queue_high":     func(v string) error { return parseInt(v, &pc.QueueHigh) },
-		"pool_full_frac": func(v string) error { return parseFloat(v, &pc.PoolFullFrac) },
-		"hold_ticks":     func(v string) error { return parseInt(v, &pc.HoldTicks) },
+		"tick":           func(v string) error { return ParseDuration(v, &pc.Tick) },
+		"spill_high":     func(v string) error { return ParseFloat(v, &pc.SpillHigh) },
+		"spill_low":      func(v string) error { return ParseFloat(v, &pc.SpillLow) },
+		"queue_high":     func(v string) error { return ParseInt(v, &pc.QueueHigh) },
+		"pool_full_frac": func(v string) error { return ParseFloat(v, &pc.PoolFullFrac) },
+		"hold_ticks":     func(v string) error { return ParseInt(v, &pc.HoldTicks) },
 	})
 	if err != nil {
 		return fmt.Errorf("config: pool: %w", err)
@@ -672,11 +672,12 @@ func (d *Deployment) loadPool(n *node) error {
 	return nil
 }
 
-// loadHints parses the UMap-style paging-policy section into
-// core.VectorHint entries. The flat schema keeps the restricted YAML
-// subset happy: a list item with a `region:` field is a region override
-// of the nearest preceding vector-level entry for the same vector name
-// (entries apply in declaration order).
+// ParseHints parses the UMap-style paging-policy section into validated
+// core.VectorHint entries; the deployment config and the scenario-plan
+// runner share it. The flat schema keeps the restricted YAML subset
+// happy: a list item with a `region:` field is a region override of the
+// nearest preceding vector-level entry for the same vector name (entries
+// apply in declaration order).
 //
 //	hints:
 //	  - vector: pq:///graph.csr:edges
@@ -687,12 +688,13 @@ func (d *Deployment) loadPool(n *node) error {
 //	    pattern: sequential
 //	    prefetch_depth: 8
 //	    evict: pin
-func (d *Deployment) loadHints(n *node) error {
-	for i, item := range n.items {
+func ParseHints(s *Sec) ([]core.VectorHint, error) {
+	var hints []core.VectorHint
+	for i, item := range s.Items() {
 		h := core.VectorHint{PrefetchDepth: -1}
 		r := core.RegionHint{PrefetchDepth: -1}
 		hasRegion := false
-		e := loadFields(item, map[string]func(string) error{
+		e := item.Fields(map[string]func(string) error{
 			"vector": func(v string) error { h.Vector = v; return nil },
 			"region": func(v string) error {
 				hasRegion = true
@@ -705,7 +707,7 @@ func (d *Deployment) loadHints(n *node) error {
 			},
 			"prefetch_depth": func(v string) error {
 				var depth int64
-				if err := parseSize(v, &depth); err != nil {
+				if err := ParseSize(v, &depth); err != nil {
 					return err
 				}
 				if depth < 0 {
@@ -721,7 +723,7 @@ func (d *Deployment) loadHints(n *node) error {
 			},
 		})
 		if e != nil {
-			return fmt.Errorf("config: hints[%d]: %w", i, e)
+			return nil, fmt.Errorf("hints[%d]: %w", i, e)
 		}
 		if hasRegion {
 			h.PrefetchDepth = -1
@@ -729,11 +731,11 @@ func (d *Deployment) loadHints(n *node) error {
 			h.Regions = []core.RegionHint{r}
 		}
 		if e := h.Validate(); e != nil {
-			return fmt.Errorf("config: hints[%d]: %w", i, e)
+			return nil, fmt.Errorf("hints[%d]: %w", i, e)
 		}
-		d.Runtime.Hints = append(d.Runtime.Hints, h)
+		hints = append(hints, h)
 	}
-	return nil
+	return hints, nil
 }
 
 // loadTenants parses the multi-tenant serving-plane section: an
@@ -757,16 +759,16 @@ func (d *Deployment) loadTenants(n *node) error {
 					ts.Class = cls
 					return err
 				},
-				"fast_quota": func(v string) error { return parseSize(v, &ts.FastQuota) },
-				"rate":       func(v string) error { return parseFloat(v, &ts.Rate) },
+				"fast_quota": func(v string) error { return ParseSize(v, &ts.FastQuota) },
+				"rate":       func(v string) error { return ParseFloat(v, &ts.Rate) },
 				"poisson":    func(v string) error { return parseBool(v, &ts.Poisson) },
-				"zipf_s":     func(v string) error { return parseFloat(v, &ts.ZipfS) },
-				"keys":       func(v string) error { return parseSize(v, &ts.Keys) },
+				"zipf_s":     func(v string) error { return ParseFloat(v, &ts.ZipfS) },
+				"keys":       func(v string) error { return ParseSize(v, &ts.Keys) },
 				"write_frac": func(v string) error { return parseProb(v, &ts.WriteFrac) },
 				"max_in_flight": func(v string) error {
-					return parseInt(v, &ts.MaxInFlight)
+					return ParseInt(v, &ts.MaxInFlight)
 				},
-				"queue_depth": func(v string) error { return parseInt(v, &ts.QueueDepth) },
+				"queue_depth": func(v string) error { return ParseInt(v, &ts.QueueDepth) },
 			})
 			if e != nil {
 				return fmt.Errorf("config: tenants.list[%d]: %w", i, e)
@@ -787,10 +789,10 @@ func (d *Deployment) loadTenants(n *node) error {
 func parseElemRange(v string, off, n *int64) error {
 	if lo, hi, ok := strings.Cut(v, ".."); ok {
 		var a, b int64
-		if err := parseSize(lo, &a); err != nil {
+		if err := ParseSize(lo, &a); err != nil {
 			return fmt.Errorf("bad range %q", v)
 		}
-		if err := parseSize(hi, &b); err != nil {
+		if err := ParseSize(hi, &b); err != nil {
 			return fmt.Errorf("bad range %q", v)
 		}
 		if b <= a || a < 0 {
@@ -801,10 +803,10 @@ func parseElemRange(v string, off, n *int64) error {
 	}
 	if lo, ln, ok := strings.Cut(v, "+"); ok {
 		var a, b int64
-		if err := parseSize(lo, &a); err != nil {
+		if err := ParseSize(lo, &a); err != nil {
 			return fmt.Errorf("bad range %q", v)
 		}
-		if err := parseSize(ln, &b); err != nil {
+		if err := ParseSize(ln, &b); err != nil {
 			return fmt.Errorf("bad range %q", v)
 		}
 		if b <= 0 || a < 0 {
@@ -841,7 +843,7 @@ func parseNodeRef(v string, dst *int) error {
 	case "pfs":
 		*dst = faults.PFSNode
 	default:
-		return parseInt(v, dst)
+		return ParseInt(v, dst)
 	}
 	return nil
 }
@@ -860,8 +862,12 @@ func parseProb(v string, dst *float64) error {
 }
 
 // ------------------------------------------------------------- scalars --
+//
+// The exported scalar parsers store into dst, so they slot straight into
+// a Sec.Fields schema.
 
-func parseInt(v string, dst *int) error {
+// ParseInt parses a decimal int.
+func ParseInt(v string, dst *int) error {
 	n, err := strconv.Atoi(v)
 	if err != nil {
 		return err
@@ -870,7 +876,18 @@ func parseInt(v string, dst *int) error {
 	return nil
 }
 
-func parseFloat(v string, dst *float64) error {
+// ParseInt64 parses a decimal int64.
+func ParseInt64(v string, dst *int64) error {
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		return err
+	}
+	*dst = n
+	return nil
+}
+
+// ParseFloat parses a float64.
+func ParseFloat(v string, dst *float64) error {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return err
@@ -888,8 +905,8 @@ func parseBool(v string, dst *bool) error {
 	return nil
 }
 
-// parseSize parses "4096", "48KB", "128MB", "1GB", "2TB".
-func parseSize(v string, dst *int64) error {
+// ParseSize parses "4096", "48KB", "128MB", "1GB", "2TB".
+func ParseSize(v string, dst *int64) error {
 	s := strings.TrimSpace(strings.ToUpper(v))
 	mult := int64(1)
 	for _, u := range []struct {
@@ -910,8 +927,8 @@ func parseSize(v string, dst *int64) error {
 	return nil
 }
 
-// parseDuration parses "500ns", "20us", "20ms", "1.5s".
-func parseDuration(v string, dst *vtime.Duration) error {
+// ParseDuration parses "500ns", "20us", "20ms", "1.5s".
+func ParseDuration(v string, dst *vtime.Duration) error {
 	s := strings.TrimSpace(strings.ToLower(v))
 	mult := vtime.Nanosecond
 	for _, u := range []struct {

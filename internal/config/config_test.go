@@ -120,11 +120,11 @@ func TestSizeAndDurationParsing(t *testing.T) {
 	for in, want := range map[string]int64{
 		"4096": 4096, "48KB": 48 << 10, "1.5MB": 3 << 19, "2GB": 2 << 30, "1TB": 1 << 40,
 	} {
-		if err := parseSize(in, &n); err != nil || n != want {
-			t.Errorf("parseSize(%q) = %d, %v; want %d", in, n, err, want)
+		if err := ParseSize(in, &n); err != nil || n != want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, n, err, want)
 		}
 	}
-	if err := parseSize("48XB", &n); err == nil {
+	if err := ParseSize("48XB", &n); err == nil {
 		t.Error("bad size accepted")
 	}
 	var dur vtime.Duration
@@ -132,8 +132,8 @@ func TestSizeAndDurationParsing(t *testing.T) {
 		"500ns": 500, "20us": 20 * vtime.Microsecond,
 		"20ms": 20 * vtime.Millisecond, "1.5s": 1500 * vtime.Millisecond,
 	} {
-		if err := parseDuration(in, &dur); err != nil || dur != want {
-			t.Errorf("parseDuration(%q) = %v, %v; want %v", in, dur, err, want)
+		if err := ParseDuration(in, &dur); err != nil || dur != want {
+			t.Errorf("ParseDuration(%q) = %v, %v; want %v", in, dur, err, want)
 		}
 	}
 }

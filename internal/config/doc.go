@@ -5,8 +5,6 @@
 // Deployments.
 package config
 
-import "megammap/internal/vtime"
-
 // Doc is a parsed restricted-YAML document.
 type Doc struct{ root *node }
 
@@ -63,26 +61,9 @@ func (s *Sec) Items() []*Sec {
 // Value returns the node's own scalar value ("" for mappings/sequences).
 func (s *Sec) Value() string { return s.n.value }
 
+// Fields applies every present key of a mapping through its schema
+// setter, rejecting keys the schema does not know.
+func (s *Sec) Fields(schema map[string]func(string) error) error { return loadFields(s.n, schema) }
+
 // FlowList splits "[a, b, c]" or "a, b, c" into items.
 func FlowList(v string) []string { return splitFlowList(v) }
-
-// ParseSizeValue parses "4096", "48KB", "128MB", "1GB", "2TB".
-func ParseSizeValue(v string) (int64, error) {
-	var n int64
-	err := parseSize(v, &n)
-	return n, err
-}
-
-// ParseElemRange parses an element range "off..end" (end exclusive) or
-// "off+n".
-func ParseElemRange(v string) (off, n int64, err error) {
-	err = parseElemRange(v, &off, &n)
-	return off, n, err
-}
-
-// ParseDurationValue parses "500ns", "20us", "20ms", "1.5s".
-func ParseDurationValue(v string) (vtime.Duration, error) {
-	var d vtime.Duration
-	err := parseDuration(v, &d)
-	return d, err
-}

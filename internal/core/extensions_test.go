@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"megammap/internal/blob"
 	"megammap/internal/cluster"
 	"megammap/internal/faults"
+	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
 
@@ -466,10 +468,9 @@ func TestCollectiveFaultCoalescing(t *testing.T) {
 }
 
 func TestTaskTracing(t *testing.T) {
-	cfg := testConfig()
-	cfg.TraceTasks = true
 	c := cluster.New(testSpec(1))
-	d := New(c, cfg)
+	tel := c.InstallTelemetry(telemetry.Options{Spans: true})
+	d := New(c, testConfig())
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "traced", Int64Codec{})
@@ -486,49 +487,27 @@ func TestTaskTracing(t *testing.T) {
 		}
 		v.TxEnd()
 	})
-	tr := d.Trace()
-	if tr == nil || len(tr.Events) == 0 {
-		t.Fatal("no trace recorded")
-	}
-	sum := tr.Summary()
-	if sum["write"].Count == 0 || sum["read"].Count == 0 {
-		t.Errorf("summary missing kinds: %+v", sum)
-	}
-	for _, e := range tr.Events {
-		if e.Start < e.Submit || e.End < e.Start {
-			t.Fatalf("event timestamps out of order: %+v", e)
+	kinds := map[telemetry.Op]int{}
+	var readService vtime.Duration
+	tel.Tracer().Each(func(_ telemetry.SpanID, s *telemetry.Span) {
+		if !s.Op.IsTask() {
+			return
 		}
-		if e.Vector != "traced" {
-			t.Fatalf("unexpected vector %q", e.Vector)
+		kinds[s.Op]++
+		if s.Start < s.Submit || s.End < s.Start {
+			t.Fatalf("task span timestamps out of order: %+v", *s)
 		}
-	}
-	var b strings.Builder
-	if err := tr.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != len(tr.Events)+1 {
-		t.Errorf("csv rows = %d, want %d", len(lines), len(tr.Events)+1)
-	}
-	if !strings.HasPrefix(lines[0], "kind,vector,page") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if sum["read"].MeanService() <= 0 {
-		t.Error("read service time should be positive")
-	}
-}
-
-func TestTracingOffByDefault(t *testing.T) {
-	c, d := newTestDSM(1)
-	runDSM(t, c, d, func(p *vtime.Proc) {
-		cl := d.NewClient(p, 0)
-		v, _ := Open[int64](cl, "untraced", Int64Codec{})
-		v.Resize(64)
-		v.SeqTxBegin(0, 64, WriteOnly)
-		v.Set(0, 1)
-		v.TxEnd()
+		if name := d.h.DisplayName(blob.Raw(s.Vec)); name != "traced" {
+			t.Fatalf("task span names vector %q, want traced", name)
+		}
+		if s.Op == telemetry.OpTaskRead {
+			readService += s.End - s.Start
+		}
 	})
-	if d.Trace() != nil {
-		t.Error("trace allocated despite TraceTasks=false")
+	if kinds[telemetry.OpTaskWrite] == 0 || kinds[telemetry.OpTaskRead] == 0 {
+		t.Errorf("task spans missing kinds: %v", kinds)
+	}
+	if readService <= 0 {
+		t.Error("read service time should be positive")
 	}
 }

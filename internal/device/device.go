@@ -148,7 +148,7 @@ type Device struct {
 	trc   *telemetry.Tracer
 	tnode int
 
-	// Counters for the resource monitor. nomBusy accumulates what busy
+	// Activity counters (Stats, Busy). nomBusy accumulates what busy
 	// would have been without injected slowdowns; busy/nomBusy is the
 	// experienced degradation ratio the health scorer feeds on.
 	readOps, writeOps     int64

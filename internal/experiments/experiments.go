@@ -269,13 +269,11 @@ func runWorld(c *cluster.Cluster, d *core.DSM, ranks int, body func(r *mpi.Rank)
 		}
 	})
 	var end vtime.Duration
+	var shutErr error
 	c.Engine.Spawn("harness", func(p *vtime.Proc) {
 		w.Wait(p)
 		if d != nil {
-			if err := d.Shutdown(p); err != nil && w.Failed() == nil {
-				// Report staging failures through the world error path.
-				fmt.Println("experiments: shutdown:", err)
-			}
+			shutErr = d.Shutdown(p)
 		}
 		end = p.Now()
 	})
@@ -290,6 +288,10 @@ func runWorld(c *cluster.Cluster, d *core.DSM, ranks int, body func(r *mpi.Rank)
 	}
 	if err := w.Failed(); err != nil {
 		return measured{}, err
+	}
+	if shutErr != nil {
+		// A final stage-out that cannot land loses the run's output.
+		return measured{}, fmt.Errorf("experiments: shutdown: %w", shutErr)
 	}
 	return measured{Runtime: end - start, PeakMemMB: peakMemMB(c)}, nil
 }

@@ -42,7 +42,7 @@ func fig8Impl(prof Profile, only string) (*stats.Table, error) {
 	}
 	apps := []appRun{
 		{name: "kmeans", run: func(c *cluster.Cluster, d *core.DSM, bound int64, ptsURL, _ string) error {
-			_, err := runWorldErr(c, d, ranks, func(r *mpi.Rank) error {
+			_, err := runWorld(c, d, ranks, func(r *mpi.Rank) error {
 				_, err := kmeans.Mega(r, d, kmeans.Config{
 					DatasetURL: ptsURL, K: 8, MaxIter: 4, BoundBytes: bound,
 					CostPerDist: ScaleCost(3 * vtime.Nanosecond),
@@ -53,7 +53,7 @@ func fig8Impl(prof Profile, only string) (*stats.Table, error) {
 			return err
 		}},
 		{name: "dbscan", run: func(c *cluster.Cluster, d *core.DSM, bound int64, ptsURL, _ string) error {
-			_, err := runWorldErr(c, d, ranks, func(r *mpi.Rank) error {
+			_, err := runWorld(c, d, ranks, func(r *mpi.Rank) error {
 				_, err := dbscan.Mega(r, d, dbscan.Config{
 					DatasetURL: ptsURL, Eps: 8, MinPts: 64, BoundBytes: bound,
 					CostPerPoint: ScaleCost(8 * vtime.Nanosecond),
@@ -63,7 +63,7 @@ func fig8Impl(prof Profile, only string) (*stats.Table, error) {
 			return err
 		}},
 		{name: "rf", run: func(c *cluster.Cluster, d *core.DSM, bound int64, ptsURL, labURL string) error {
-			_, err := runWorldErr(c, d, ranks, func(r *mpi.Rank) error {
+			_, err := runWorld(c, d, ranks, func(r *mpi.Rank) error {
 				_, err := rf.Mega(r, d, rf.Config{
 					DatasetURL: ptsURL, LabelURL: labURL, Classes: 8, Seed: 5,
 					BoundBytes: bound, CostPerSample: ScaleCost(20 * vtime.Nanosecond),
@@ -74,7 +74,7 @@ func fig8Impl(prof Profile, only string) (*stats.Table, error) {
 		}},
 		{name: "grayscott", run: func(c *cluster.Cluster, d *core.DSM, bound int64, _, _ string) error {
 			l := gsSideFor(total / 2)
-			_, err := runWorldErr(c, d, ranks, func(r *mpi.Rank) error {
+			_, err := runWorld(c, d, ranks, func(r *mpi.Rank) error {
 				_, err := grayscott.Mega(r, d, grayscott.Config{
 					L: l, Steps: 3, BoundBytes: bound,
 					CostPerCell: ScaleCost(36 * vtime.Nanosecond),
@@ -120,10 +120,4 @@ func fig8Impl(prof Profile, only string) (*stats.Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// runWorldErr is runWorld discarding the measurement (Fig8 measures with
-// the engine clock around the whole app phase).
-func runWorldErr(c *cluster.Cluster, d *core.DSM, ranks int, body func(r *mpi.Rank) error) (measured, error) {
-	return runWorld(c, d, ranks, body)
 }

@@ -172,11 +172,9 @@ func (p *Plan) runBFSCell(cell Cell, ref **refRun) (CellResult, error) {
 	}
 	var bound int64
 	if bv, ok := cell.Get("bound"); ok {
-		b, err := config.ParseSizeValue(bv)
-		if err != nil {
+		if err := config.ParseSize(bv, &bound); err != nil {
 			return CellResult{}, err
 		}
-		bound = b
 	}
 
 	d := core.New(c, cc)

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"megammap/internal/config"
-	"megammap/internal/core"
 	"megammap/internal/faults"
 )
 
@@ -33,14 +32,14 @@ func Load(doc string) (*Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: missing plan section", ErrBadPlan)
 	}
-	if err := fields(ps, map[string]func(string) error{
+	if err := ps.Fields(map[string]func(string) error{
 		"name":           func(v string) error { p.Name = v; return nil },
 		"app":            func(v string) error { p.App = v; return nil },
-		"nodes":          func(v string) error { return parseIntInto(v, &p.Nodes) },
-		"procs_per_node": func(v string) error { return parseIntInto(v, &p.Procs) },
-		"bytes_per_node": func(v string) error { return sizeInto(v, &p.BytesPerNode) },
-		"vertices":       func(v string) error { return parseI64Into(v, &p.Vertices) },
-		"tolerance":      func(v string) error { return parseFloatInto(v, &p.Tolerance) },
+		"nodes":          func(v string) error { return config.ParseInt(v, &p.Nodes) },
+		"procs_per_node": func(v string) error { return config.ParseInt(v, &p.Procs) },
+		"bytes_per_node": func(v string) error { return config.ParseSize(v, &p.BytesPerNode) },
+		"vertices":       func(v string) error { return config.ParseInt64(v, &p.Vertices) },
+		"tolerance":      func(v string) error { return config.ParseFloat(v, &p.Tolerance) },
 		"baseline":       func(v string) error { p.Baseline = v; return nil },
 	}); err != nil {
 		return nil, fmt.Errorf("%w: plan: %v", ErrBadPlan, err)
@@ -48,17 +47,13 @@ func Load(doc string) (*Plan, error) {
 
 	if ws, ok := d.Section("workload"); ok {
 		w := &p.Workload
-		if err := fields(ws, map[string]func(string) error{
-			"k":        func(v string) error { return parseIntInto(v, &w.K) },
-			"max_iter": func(v string) error { return parseIntInto(v, &w.MaxIter) },
-			"cost_per_dist": func(v string) error {
-				d, err := config.ParseDurationValue(v)
-				w.CostPerDist = d
-				return err
-			},
-			"steps":  func(v string) error { return parseIntInto(v, &w.Steps) },
-			"seed":   func(v string) error { return parseI64Into(v, &w.Seed) },
-			"source": func(v string) error { return parseI64Into(v, &w.Source) },
+		if err := ws.Fields(map[string]func(string) error{
+			"k":             func(v string) error { return config.ParseInt(v, &w.K) },
+			"max_iter":      func(v string) error { return config.ParseInt(v, &w.MaxIter) },
+			"cost_per_dist": func(v string) error { return config.ParseDuration(v, &w.CostPerDist) },
+			"steps":         func(v string) error { return config.ParseInt(v, &w.Steps) },
+			"seed":          func(v string) error { return config.ParseInt64(v, &w.Seed) },
+			"source":        func(v string) error { return config.ParseInt64(v, &w.Source) },
 		}); err != nil {
 			return nil, fmt.Errorf("%w: workload: %v", ErrBadPlan, err)
 		}
@@ -69,8 +64,9 @@ func Load(doc string) (*Plan, error) {
 			v, _ := ms.Scalar(axis)
 			vals := config.FlowList(v)
 			if axis == "bound" {
+				var n int64
 				for _, bv := range vals {
-					if _, err := config.ParseSizeValue(bv); err != nil {
+					if err := config.ParseSize(bv, &n); err != nil {
 						return nil, fmt.Errorf("%w: matrix: bound value %q", ErrBadPlan, bv)
 					}
 				}
@@ -86,7 +82,7 @@ func Load(doc string) (*Plan, error) {
 				return nil, fmt.Errorf("%w: faults: %s is not a mapping", ErrBadPlan, name)
 			}
 			fs := &FaultSpec{}
-			if err := fields(spec, map[string]func(string) error{
+			if err := spec.Fields(map[string]func(string) error{
 				"spec":   func(v string) error { fs.Spec = v; return nil },
 				"crash":  func(v string) error { return parsePoint(v, &fs.CrashNode, &fs.CrashFrac) },
 				"revive": func(v string) error { return parsePoint(v, &fs.ReviveNode, &fs.ReviveFrac) },
@@ -101,8 +97,8 @@ func Load(doc string) (*Plan, error) {
 	}
 
 	if hs, ok := d.Section("hints"); ok {
-		if err := loadHints(hs, p); err != nil {
-			return nil, err
+		if p.Hints, err = config.ParseHints(hs); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadPlan, err)
 		}
 	}
 
@@ -118,57 +114,6 @@ func Load(doc string) (*Plan, error) {
 	return p, nil
 }
 
-// loadHints parses the hints section with the same flat schema the
-// deployment config uses: a list item with a region field is a region
-// override of the named vector.
-func loadHints(hs *config.Sec, p *Plan) error {
-	for i, item := range hs.Items() {
-		h := core.VectorHint{PrefetchDepth: -1}
-		r := core.RegionHint{PrefetchDepth: -1}
-		hasRegion := false
-		err := fields(item, map[string]func(string) error{
-			"vector": func(v string) error { h.Vector = v; return nil },
-			"region": func(v string) error {
-				off, n, err := config.ParseElemRange(v)
-				r.Off, r.N = off, n
-				hasRegion = true
-				return err
-			},
-			"pattern": func(v string) error {
-				pc, err := core.ParsePatternClass(v)
-				h.Pattern, r.Pattern = pc, pc
-				return err
-			},
-			"prefetch_depth": func(v string) error {
-				d, err := config.ParseSizeValue(v)
-				if err != nil {
-					return err
-				}
-				if d < 0 {
-					return fmt.Errorf("negative prefetch depth %d", d)
-				}
-				h.PrefetchDepth, r.PrefetchDepth = d, d
-				return nil
-			},
-			"evict": func(v string) error {
-				ec, err := core.ParseEvictClass(v)
-				h.Evict, r.Evict = ec, ec
-				return err
-			},
-		})
-		if err != nil {
-			return fmt.Errorf("%w: hints[%d]: %w", ErrBadPlan, i, err)
-		}
-		if hasRegion {
-			h.PrefetchDepth = -1
-			h.Pattern, h.Evict = core.PatternDefault, core.EvictDefault
-			h.Regions = []core.RegionHint{r}
-		}
-		p.Hints = append(p.Hints, h)
-	}
-	return nil
-}
-
 // loadAsserts parses the assertion list; each item sets exactly one op
 // key (eq/min/max take a number, lt_cell/le_cell/eq_cell a cell ID).
 func loadAsserts(as *config.Sec, p *Plan) error {
@@ -181,13 +126,13 @@ func loadAsserts(as *config.Sec, p *Plan) error {
 				}
 				a.Op = op
 				if op == "eq" || op == "min" || op == "max" {
-					return parseFloatInto(v, &a.Value)
+					return config.ParseFloat(v, &a.Value)
 				}
 				a.Other = v
 				return nil
 			}
 		}
-		err := fields(item, map[string]func(string) error{
+		err := item.Fields(map[string]func(string) error{
 			"metric":  func(v string) error { a.Metric = v; return nil },
 			"cell":    func(v string) error { a.Cell = v; return nil },
 			"eq":      setOp("eq"),
@@ -231,57 +176,5 @@ func parsePoint(v string, node *int, f *Frac) error {
 		return fmt.Errorf("bad fraction in %q", v)
 	}
 	*node, *f = n, Frac{Num: a, Den: b}
-	return nil
-}
-
-// fields applies every present key of a mapping, rejecting keys the
-// schema does not know.
-func fields(s *config.Sec, schema map[string]func(string) error) error {
-	for _, key := range s.Keys() {
-		f, ok := schema[key]
-		if !ok {
-			return fmt.Errorf("unknown key %q", key)
-		}
-		v, _ := s.Scalar(key)
-		if err := f(v); err != nil {
-			return fmt.Errorf("%s: %w", key, err)
-		}
-	}
-	return nil
-}
-
-func parseIntInto(v string, dst *int) error {
-	n, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil {
-		return err
-	}
-	*dst = n
-	return nil
-}
-
-func parseI64Into(v string, dst *int64) error {
-	n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-	if err != nil {
-		return err
-	}
-	*dst = n
-	return nil
-}
-
-func parseFloatInto(v string, dst *float64) error {
-	f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-	if err != nil {
-		return err
-	}
-	*dst = f
-	return nil
-}
-
-func sizeInto(v string, dst *int64) error {
-	n, err := config.ParseSizeValue(v)
-	if err != nil {
-		return err
-	}
-	*dst = n
 	return nil
 }

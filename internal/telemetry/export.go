@@ -246,7 +246,7 @@ func (t *Telemetry) WriteChromeTrace(w io.Writer, vecName func(vec uint32) strin
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
+		Events []chromeEvent `json:"traceEvents"`
 	}{events})
 }
 

@@ -217,7 +217,7 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []struct {
+		Events []struct {
 			Name string         `json:"name"`
 			Ph   string         `json:"ph"`
 			Pid  int            `json:"pid"`
@@ -228,7 +228,7 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 		t.Fatalf("not valid Chrome trace JSON: %v", err)
 	}
 	var haveFault, haveChild, haveMeta, haveCounter bool
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc.Events {
 		switch {
 		case ev.Ph == "X" && ev.Name == "fault":
 			haveFault = true

@@ -63,8 +63,6 @@ type (
 	DeviceProfile = device.Profile
 	// LinkProfile describes a network fabric class.
 	LinkProfile = simnet.LinkProfile
-	// Monitor samples cluster resource usage (pymonitor analog).
-	Monitor = cluster.Monitor
 )
 
 // Virtual time units.
@@ -192,7 +190,7 @@ type (
 // read metrics tables, the span arena, or a Chrome trace after the run.
 type (
 	// Telemetry bundles the metrics registry, span tracer, and resource
-	// sampler of one cluster.
+	// sampler (the paper's pymonitor analog) of one cluster.
 	Telemetry = telemetry.Telemetry
 	// TelemetryOptions selects which telemetry sub-planes to enable.
 	TelemetryOptions = telemetry.Options
@@ -201,8 +199,6 @@ type (
 	MetricKey = telemetry.Key
 	// Span is one traced operation of the fault path.
 	Span = telemetry.Span
-	// TaskTrace is the task-level trace view (Config.TraceTasks).
-	TaskTrace = core.TaskTrace
 )
 
 // The fault plane: deterministic scripted failures (message loss, device
@@ -246,12 +242,6 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewWorld creates nprocs ranks distributed block-wise over the nodes.
 func NewWorld(c *Cluster, nprocs int) *World { return mpi.NewWorld(c, nprocs) }
-
-// NewMonitor samples cluster resource usage with the given period until
-// stop fires.
-func NewMonitor(c *Cluster, period Duration, stop *vtime.Event) *Monitor {
-	return cluster.NewMonitor(c, period, stop)
-}
 
 // Open connects to (or creates) the shared vector identified by name; a
 // name containing "://" designates a nonvolatile vector staged to that
